@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -105,13 +104,19 @@ ConsensusReport summarize_consensus_run(Net& net,
   rep.sends = net.sends();
   rep.bytes_sent = net.bytes_sent();
 
-  const std::set<Value> proposed(initial.begin(), initial.end());
+  // Validity is checked once per distinct decided value (one, under
+  // agreement) by a scan of the proposals.
+  std::vector<Value> checked;
   for (ProcId p = 0; p < net.n(); ++p) {
     auto d = net.decision(p);
     if (!d.has_value()) continue;
     if (rep.value.has_value() && !(*rep.value == *d)) rep.agreement = false;
     if (!rep.value.has_value()) rep.value = d;
-    if (proposed.count(*d) == 0) rep.validity = false;
+    if (std::find(checked.begin(), checked.end(), *d) == checked.end()) {
+      checked.push_back(*d);
+      if (std::find(initial.begin(), initial.end(), *d) == initial.end())
+        rep.validity = false;
+    }
     const Round r = net.decision_round(p);
     if (rep.first_decision_round == kNoRound || r < rep.first_decision_round)
       rep.first_decision_round = r;

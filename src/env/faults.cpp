@@ -1,5 +1,7 @@
 #include "env/faults.hpp"
 
+#include <algorithm>
+
 namespace anon {
 namespace {
 
@@ -34,13 +36,19 @@ FaultPlan::FaultPlan(const FaultParams& params, std::uint64_t run_seed,
   omission_.assign(n, false);
   for (ProcId p : params_.omission_senders)
     if (p < n) omission_[p] = true;
+  churn_ = params_.churn;
+  std::sort(churn_.begin(), churn_.end(),
+            [](const ChurnSpec& a, const ChurnSpec& b) {
+              return a.process < b.process;
+            });
 }
 
 bool FaultPlan::down(ProcId p, Round k) const {
-  for (const ChurnSpec& c : params_.churn) {
-    if (c.process != p) continue;
-    if (k >= c.leave && (c.rejoin == 0 || k < c.rejoin)) return true;
-  }
+  auto it = std::lower_bound(
+      churn_.begin(), churn_.end(), p,
+      [](const ChurnSpec& c, ProcId key) { return c.process < key; });
+  for (; it != churn_.end() && it->process == p; ++it)
+    if (k >= it->leave && (it->rejoin == 0 || k < it->rejoin)) return true;
   return false;
 }
 

@@ -102,7 +102,10 @@ std::uint64_t fault_stream_seed(std::uint64_t run_seed,
 
 // A compiled fault plan for one run.  Stateless after construction;
 // `fate` is pure in (round, sender, receiver), so any engine — serial,
-// sharded, cohort — computes identical verdicts in any order.
+// sharded, cohort — computes identical verdicts in any order.  It runs
+// once per link, so it allocates nothing and costs no O(n) work: churn
+// windows are indexed by process and the source exemption is the delay
+// model's O(crashes) query.
 class FaultPlan {
  public:
   FaultPlan() = default;
@@ -132,6 +135,7 @@ class FaultPlan {
   std::uint64_t seed_ = 0;
   const DelayModel* delays_ = nullptr;
   std::vector<bool> omission_;  // indexed by ProcId, sized n
+  std::vector<ChurnSpec> churn_;  // params_.churn sorted by process
   bool active_ = false;
 };
 

@@ -17,20 +17,30 @@ const char* to_string(EnvKind k) {
 }
 
 EnvDelayModel::EnvDelayModel(EnvParams params, const CrashPlan& crashes)
-    : params_(params) {
+    : params_(params), crashes_(crashes.crashing(params.n)) {
   ANON_CHECK(params_.n >= 1);
-  crash_round_.resize(params_.n);
-  for (ProcId p = 0; p < params_.n; ++p) crash_round_[p] = crashes.crash_round(p);
-  correct_ = crashes.correct(params_.n);
-  ANON_CHECK_MSG(!correct_.empty(),
+  const std::size_t correct = params_.n - crashes_.size();
+  ANON_CHECK_MSG(correct > 0,
                  "environments require at least one correct process");
   // ESS: the eventual source is a hash-chosen correct process.
-  stable_source_ =
-      correct_[hash_below(hash_mix(params_.seed, 0x51ab1e, 0, 0),
-                          correct_.size())];
+  stable_source_ = nth_survivor(
+      hash_below(hash_mix(params_.seed, 0x51ab1e, 0, 0), correct),
+      kNeverCrashes);
 }
 
 ProcId EnvDelayModel::stable_source() const { return stable_source_; }
+
+ProcId EnvDelayModel::nth_survivor(std::uint64_t j, Round k) const {
+  // Step over the processes dead by round k that sit at or below the
+  // candidate; ascending pid order makes one pass enough.
+  auto p = static_cast<ProcId>(j);
+  for (const auto& [pid, crash_round] : crashes_) {
+    if (crash_round > k) continue;
+    if (pid > p) break;
+    ++p;
+  }
+  return p;
+}
 
 std::optional<ProcId> EnvDelayModel::planned_source(Round k) const {
   if (params_.kind == EnvKind::kESS && k > params_.stabilization)
@@ -38,12 +48,10 @@ std::optional<ProcId> EnvDelayModel::planned_source(Round k) const {
   // Moving source: hash-pick among processes that survive past round k (they
   // must complete end-of-round k with a full broadcast).  At least one
   // exists: any correct process.
-  std::vector<ProcId> eligible;
-  eligible.reserve(params_.n);
-  for (ProcId p = 0; p < params_.n; ++p)
-    if (crash_round_[p] > k) eligible.push_back(p);
-  return eligible[hash_below(hash_mix(params_.seed, 0x50ce, k, 0),
-                             eligible.size())];
+  std::size_t dead = 0;
+  for (const auto& c : crashes_) dead += c.second <= k ? 1 : 0;
+  return nth_survivor(
+      hash_below(hash_mix(params_.seed, 0x50ce, k, 0), params_.n - dead), k);
 }
 
 bool EnvDelayModel::all_timely_at(Round k) const {
@@ -71,13 +79,13 @@ Round EnvDelayModel::delay(Round k, ProcId sender, ProcId receiver) const {
 
 HostileMsModel::HostileMsModel(std::size_t n, std::uint64_t seed,
                                Round lateness)
-    : n_(n), seed_(seed), lateness_(lateness) {
+    : n_(n), offset_(hash_mix(seed, 0xbad, 0, 0)), lateness_(lateness) {
   ANON_CHECK(n_ >= 1 && lateness_ >= 1);
 }
 
 std::optional<ProcId> HostileMsModel::planned_source(Round k) const {
   // Round-robin: the source moves every round, deterministically.
-  return static_cast<ProcId>((k + hash_mix(seed_, 0xbad, 0, 0)) % n_);
+  return static_cast<ProcId>((k + offset_) % n_);
 }
 
 Round HostileMsModel::delay(Round k, ProcId sender, ProcId receiver) const {

@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/value.hpp"
@@ -22,6 +23,11 @@ namespace anon {
 // A link from the round source is always timely; after GST in ES all links
 // are timely; everything else draws (timely with timely_prob, else delay in
 // [1, max_delay]).
+//
+// Every query is per link on the engines' hot path, so none allocates and
+// none costs O(n): the source is found from the crashing processes alone
+// (O(crashes)).  The model is shared read-only across sweep threads and
+// engine shards, so it keeps no per-round cache.
 class EnvDelayModel final : public DelayModel {
  public:
   EnvDelayModel(EnvParams params, const CrashPlan& crashes);
@@ -41,10 +47,12 @@ class EnvDelayModel final : public DelayModel {
 
  private:
   bool all_timely_at(Round k) const;
+  // The j-th (0-based, ascending pid) process with crash_round > k.
+  ProcId nth_survivor(std::uint64_t j, Round k) const;
 
   EnvParams params_;
-  std::vector<Round> crash_round_;  // per process, kNeverCrashes if correct
-  std::vector<ProcId> correct_;
+  // (pid, crash round) of every crashing process, ascending pid.
+  std::vector<std::pair<ProcId, Round>> crashes_;
   ProcId stable_source_ = 0;
 };
 
@@ -62,7 +70,7 @@ class HostileMsModel final : public DelayModel {
 
  private:
   std::size_t n_;
-  std::uint64_t seed_;
+  std::uint64_t offset_;  // the round-robin's seeded starting point
   Round lateness_;
 };
 

@@ -605,33 +605,10 @@ class CohortNet {
           if (dying != nullptr &&
               std::find(dying->begin(), dying->end(), p) != dying->end())
             continue;
-          for (ProcId q = 0; q < n_; ++q) {
-            if (q == p) continue;
-            Round d = delays_.delay(k, p, q);
-            sends_ += msg_count;
-            bytes_sent_ += batch_bytes;
-            bool dup = false;
-            Round dup_delay = 1;
-            if (opt_.faults != nullptr && opt_.faults->active()) {
-              const LinkFate f = opt_.faults->fate(k, p, q);
-              if (!f.deliver) {
-                fault_drops_ += msg_count;
-                continue;
-              }
-              d += f.extra_delay;
-              if (f.duplicate) {
-                fault_dups_ += msg_count;
-                dup = true;
-                dup_delay = f.dup_delay;
-              }
-            }
-            Pending e;
-            e.payload = payload;
-            e.msg_round = k;
-            e.receiver = q;
-            if (dup) calendar_.schedule(k + d + dup_delay, Pending(e));
-            calendar_.schedule(k + d, std::move(e));
-          }
+          for (ProcId q = 0; q < n_; ++q)
+            if (q != p)
+              schedule_link(k, p, q, delays_.delay(k, p, q), payload,
+                            msg_count, batch_bytes);
         }
       }
     }
@@ -647,34 +624,38 @@ class CohortNet {
             if (!opt_.relay_partial_broadcast) continue;  // lost forever
             d = std::max<Round>(d, 1) + opt_.relay_extra_delay;
           }
-          sends_ += msg_count;
-          bytes_sent_ += batch_bytes;
-          bool dup = false;
-          Round dup_delay = 1;
-          if (opt_.faults != nullptr && opt_.faults->active()) {
-            const LinkFate f = opt_.faults->fate(k, p, q);
-            if (!f.deliver) {
-              fault_drops_ += msg_count;
-              continue;
-            }
-            d += f.extra_delay;
-            if (f.duplicate) {
-              fault_dups_ += msg_count;
-              dup = true;
-              dup_delay = f.dup_delay;
-            }
-          }
-          Pending e;
-          e.payload = payload;
-          e.msg_round = k;
-          e.receiver = q;
-          if (dup) calendar_.schedule(k + d + dup_delay, Pending(e));
-          calendar_.schedule(k + d, std::move(e));
+          schedule_link(k, p, q, d, payload, msg_count, batch_bytes);
         }
         finalize_death(c, p, k);
       }
       remove_dead_members(c);
     }
+  }
+
+  // One link of a per-link broadcast: transport counters, the fault
+  // plan's fate, and the calendar entries (a duplicate's copy first).
+  void schedule_link(Round k, ProcId p, ProcId q, Round d,
+                     const SharedBatch<M>& payload, std::uint64_t msg_count,
+                     std::size_t batch_bytes) {
+    sends_ += msg_count;
+    bytes_sent_ += batch_bytes;
+    Pending e;
+    e.payload = payload;
+    e.msg_round = k;
+    e.receiver = q;
+    if (opt_.faults != nullptr && opt_.faults->active()) {
+      const LinkFate f = opt_.faults->fate(k, p, q);
+      if (!f.deliver) {
+        fault_drops_ += msg_count;
+        return;
+      }
+      d += f.extra_delay;
+      if (f.duplicate) {
+        fault_dups_ += msg_count;
+        calendar_.schedule(k + d + f.dup_delay, Pending(e));
+      }
+    }
+    calendar_.schedule(k + d, std::move(e));
   }
 
   // Records a dying member's observable state; the class's final compute

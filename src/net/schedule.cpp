@@ -30,11 +30,9 @@ bool CrashPlan::in_final_audience(ProcId sender, ProcId receiver,
   auto it = specs_.find(sender);
   if (it == specs_.end()) return true;
   const CrashSpec& spec = it->second;
-  if (spec.final_recipients.has_value()) {
-    for (ProcId r : *spec.final_recipients)
-      if (r == receiver) return true;
-    return false;
-  }
+  if (spec.final_recipients.has_value())
+    return std::binary_search(spec.final_recipients->begin(),
+                              spec.final_recipients->end(), receiver);
   (void)n;
   const std::uint64_t h =
       hash_mix(seed ^ 0xabcdef1234567890ULL, sender, receiver, spec.crash_round);
@@ -45,6 +43,15 @@ std::vector<ProcId> CrashPlan::correct(std::size_t n) const {
   std::vector<ProcId> out;
   for (ProcId p = 0; p < n; ++p)
     if (!ever_crashes(p)) out.push_back(p);
+  return out;
+}
+
+std::vector<std::pair<ProcId, Round>> CrashPlan::crashing(
+    std::size_t n) const {
+  std::vector<std::pair<ProcId, Round>> out;
+  for (const auto& [p, spec] : specs_)
+    if (p < n && spec.crash_round != kNeverCrashes)
+      out.emplace_back(p, spec.crash_round);
   return out;
 }
 

@@ -19,10 +19,12 @@
 // receiver) so that multi-thousand-round runs need no per-round storage.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -86,7 +88,12 @@ class CrashPlan {
  public:
   CrashPlan() = default;
 
-  void set(ProcId p, CrashSpec spec) { specs_[p] = spec; }
+  void set(ProcId p, CrashSpec spec) {
+    // Sorted once here, so the per-link audience test is a binary search.
+    if (spec.final_recipients.has_value())
+      std::sort(spec.final_recipients->begin(), spec.final_recipients->end());
+    specs_[p] = std::move(spec);
+  }
 
   // Convenience: p crashes at `round` with a hash-chosen half audience.
   void crash_at(ProcId p, Round round) { specs_[p] = CrashSpec{round, {}, 0.5}; }
@@ -113,6 +120,10 @@ class CrashPlan {
 
   // Processes that never crash, out of n.
   std::vector<ProcId> correct(std::size_t n) const;
+
+  // Processes below n that crash, as (pid, crash round) in ascending pid
+  // order: O(crashes), independent of n.
+  std::vector<std::pair<ProcId, Round>> crashing(std::size_t n) const;
 
   std::size_t crash_count() const { return specs_.size(); }
 

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <memory>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -73,6 +74,12 @@ class StepOp {
 // Interleaves in-flight operations: each scheduler tick picks one pending
 // op (seeded-uniformly) and executes one of its steps.  Ops can be
 // injected at chosen ticks; completion times are reported to the caller.
+//
+// The pick is the rng_.below(count)-th runnable op in injection order.
+// Runnable ops sit in a Fenwick tree over op indices and not-yet-started
+// ops in a min-heap on start tick, so a tick costs O(log ops) however many
+// ops have finished, and idle ticks (nothing runnable) are skipped in one
+// jump to the next start tick.
 class StepScheduler {
  public:
   explicit StepScheduler(std::uint64_t seed) : rng_(seed) {}
@@ -92,15 +99,22 @@ class StepScheduler {
 
  private:
   struct Pending {
-    std::uint64_t start_tick;
     std::unique_ptr<StepOp> op;
     DoneFn done;
     bool started = false;
   };
+  using Start = std::pair<std::uint64_t, std::size_t>;  // (tick, op index)
+
+  void mark_runnable(std::size_t i, bool on);
+  std::size_t select_runnable(std::uint64_t j) const;
+
   Rng rng_;
   std::uint64_t tick_ = 0;
   std::vector<Pending> ops_;
-  std::vector<std::size_t> runnable_;  // per-tick scratch, capacity reused
+  std::vector<Start> starts_;  // min-heap of the ops not yet started
+  // Fenwick tree (1-based, power-of-two size) of runnable flags.
+  std::vector<std::uint32_t> tree_;
+  std::size_t runnable_ = 0;
 };
 
 }  // namespace anon

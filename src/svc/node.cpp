@@ -2,6 +2,7 @@
 
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -29,9 +30,12 @@ LiveNode::LiveNode(LiveNodeOptions opt)
       consensus_(std::make_unique<EsConsensus>(opt.proposal)),
       weakset_(std::make_unique<MsWeakSetAutomaton>()) {
   ws_automaton_ = static_cast<MsWeakSetAutomaton*>(&weakset_.automaton());
+  // Without a wake fd stop() still works, only at the next poll timeout.
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
 }
 
 LiveNode::~LiveNode() {
+  if (wake_fd_ >= 0) ::close(wake_fd_);
   if (listen_fd_ >= 0) ::close(listen_fd_);
   for (ClientConn& c : conns_)
     if (c.fd >= 0) ::close(c.fd);
@@ -83,6 +87,14 @@ bool LiveNode::open_client_listener() {
   if (getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) == 0)
     client_port_ = ntohs(addr.sin_port);
   return client_port_ != 0;
+}
+
+void LiveNode::stop() {
+  stop_.store(true, std::memory_order_release);
+  if (wake_fd_ < 0) return;
+  const std::uint64_t one = 1;
+  // A full counter (EAGAIN) already wakes the poll, so the result is moot.
+  [[maybe_unused]] const ssize_t rc = ::write(wake_fd_, &one, sizeof(one));
 }
 
 void LiveNode::run() {
@@ -168,6 +180,9 @@ void LiveNode::event_loop() {
       fds.push_back(pollfd{conns_[i].fd, POLLIN, 0});
       conn_map.push_back(i);
     }
+    // Last, so the slices above keep their offsets.  Only stop() writes
+    // it, and the loop then ends, so it is never drained.
+    if (wake_fd_ >= 0) fds.push_back(pollfd{wake_fd_, POLLIN, 0});
     poll_fds(fds, timeout);
 
     now = Clock::now();
@@ -218,7 +233,13 @@ void LiveNode::do_round(std::chrono::steady_clock::time_point now) {
       std::size_t frames = 0;
       for (const auto& [tag, count] : ws_tag_counts_)
         if (tag == r) frames = count;
-      if (frames + 1 >= opt_.n) {
+      // A full view is one frame from each of the n - 1 peers.  UDP
+      // attributes this node's own looped-back frame, which deliver() skips;
+      // TCP inbound is unattributed, so there the own frame is counted too
+      // and a full view needs n frames.
+      const std::size_t full_view =
+          opt_.socket == SvcSocketKind::kUdp ? opt_.n - 1 : opt_.n;
+      if (frames >= full_view) {
         bool in_all = true;
         for (const ValueSet& m : weakset_.inbox(r))
           if (!m.contains(ws_adds_.front().value)) {
@@ -288,7 +309,9 @@ void LiveNode::deliver(const ServiceFrame& f, std::size_t peer,
       if (!batch) return;
       weakset_.receive(std::move(*batch), f.round);
       // Count frames per tag for the add-visibility certificate (messages
-      // dedup in the inbox — anonymity — but frames are countable).
+      // dedup in the inbox — anonymity — but frames are countable).  The
+      // node's own frame certifies nothing about the peers.
+      if (peer == opt_.index) break;
       bool counted = false;
       for (auto& [tag, count] : ws_tag_counts_)
         if (tag == f.round) {

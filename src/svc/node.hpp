@@ -82,7 +82,10 @@ class LiveNode {
   // The node's event loop; blocks until stop() or max_rounds.  Run on a
   // dedicated thread (LiveCluster) or as a whole process (anonsvc serve).
   void run();
-  void stop() { stop_.store(true, std::memory_order_release); }
+  // Safe from any thread: sets the stop flag and wakes the loop's poll at
+  // once through the node's wake fd, so run() returns without waiting out
+  // the pacemaker deadline.
+  void stop();
 
   // Post-run observations (safe after run() returned).
   std::optional<Value> decision() const { return decision_; }
@@ -166,6 +169,7 @@ class LiveNode {
   std::uint16_t client_port_ = 0;
   std::string error_;
   std::atomic<bool> stop_{false};
+  int wake_fd_ = -1;  // eventfd in the poll set; stop() writes to it
 
   // Protocol state (event-loop thread only).
   GirafProcess<EsMessage> consensus_;
@@ -190,7 +194,8 @@ class LiveNode {
   // it (see do_round), so later gets anywhere return it.
   bool ws_add_confirmed_ = false;
   // Per-tag weak-set frame counts for the full-view test (pruned to the
-  // current inbox window; each peer sends exactly one frame per tag).
+  // current inbox window; each node sends exactly one frame per tag).
+  // Frames attributed to this node itself are not counted; see deliver().
   std::vector<std::pair<Round, std::size_t>> ws_tag_counts_;
 
   // Observations.

@@ -24,6 +24,8 @@
 #include "algo/es_consensus.hpp"
 #include "emul/echo.hpp"
 #include "emul/ms_emulation_cohort.hpp"
+#include "env/faults.hpp"
+#include "env/generate.hpp"
 #include "net/cohort.hpp"
 #include "net/lockstep.hpp"
 #include "net/schedule.hpp"
@@ -188,6 +190,84 @@ TEST(AllocationSteadyState, ShardedEmulationCohortMatchesSerialAllocations) {
   const std::size_t sharded = emulation_cohort_window_allocations(64, 4);
   EXPECT_LE(sharded, serial + serial / 2 + 64)
       << "serial window: " << serial << ", sharded window: " << sharded;
+}
+
+// Per-link model queries: the engines call DelayModel::delay and
+// FaultPlan::fate (which asks planned_source for the exemption) once per
+// link, so none of them may allocate — in a pre-GST ES run with crashes
+// and a fault plan, where every link takes the query path.
+class AllocationCheckedDelays final : public DelayModel {
+ public:
+  explicit AllocationCheckedDelays(const DelayModel& inner) : inner_(inner) {}
+  Round delay(Round k, ProcId sender, ProcId receiver) const override {
+    const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+    const Round d = inner_.delay(k, sender, receiver);
+    allocations_ += g_allocations.load(std::memory_order_relaxed) - before;
+    ++queries_;
+    return d;
+  }
+  std::optional<ProcId> planned_source(Round k) const override {
+    const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+    const std::optional<ProcId> s = inner_.planned_source(k);
+    allocations_ += g_allocations.load(std::memory_order_relaxed) - before;
+    ++queries_;
+    return s;
+  }
+  std::size_t allocations() const { return allocations_; }
+  std::size_t queries() const { return queries_; }
+
+ private:
+  const DelayModel& inner_;
+  mutable std::size_t allocations_ = 0;
+  mutable std::size_t queries_ = 0;
+};
+
+TEST(AllocationSteadyState, PerLinkDelayAndFaultQueriesAreAllocationFree) {
+  EnvParams env;
+  env.kind = EnvKind::kES;
+  env.n = kN;
+  env.seed = 9;
+  env.stabilization = 1000;  // every measured round is before GST
+  CrashPlan crashes;
+  crashes.crash_at(3, 2);
+  crashes.crash_at(17, 5);
+  crashes.crash_at(29, 9);
+  const EnvDelayModel env_delays(env, crashes);
+  const AllocationCheckedDelays delays(env_delays);
+  FaultParams fp;
+  fp.loss_prob = 0.1;
+  fp.dup_prob = 0.05;
+  fp.reorder_prob = 0.1;
+  fp.omission_senders = {3};
+  fp.churn = {ChurnSpec{5, 4, 12}, ChurnSpec{11, 2, 0}};
+  const FaultPlan faults(fp, env.seed, env.n, &delays);
+
+  // The queries on their own, link by link.
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  std::uint64_t drops = 0;
+  for (Round k = 1; k <= 20; ++k)
+    for (ProcId p = 0; p < kN; ++p)
+      for (ProcId q = 0; q < kN; ++q) {
+        if (q == p) continue;
+        (void)env_delays.delay(k, p, q);
+        drops += faults.fate(k, p, q).deliver ? 0 : 1;
+      }
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u)
+      << "delay/fate/planned_source allocated";
+  EXPECT_GT(drops, 0u) << "the fault plan must actually fire";
+
+  // The same queries as LockstepNet issues them in a run.
+  std::vector<std::unique_ptr<Automaton<EsMessage>>> autos;
+  for (const Value& v : initial_values())
+    autos.push_back(std::make_unique<EsConsensus>(v));
+  LockstepOptions opt = lockstep_options(1, 0);
+  opt.faults = &faults;
+  LockstepNet<EsMessage> net(std::move(autos), delays, crashes, opt);
+  net.run_rounds(20);
+  EXPECT_GT(net.fault_drops(), 0u);
+  EXPECT_GE(delays.queries(), 20u * kN);
+  EXPECT_EQ(delays.allocations(), 0u)
+      << "a per-link model query allocated inside the engine";
 }
 
 }  // namespace

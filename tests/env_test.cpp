@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "common/value.hpp"
 #include "net/lockstep.hpp"
 
@@ -175,6 +178,70 @@ TEST(HostileMs, SatisfiesMsButNeverStabilizes) {
   }
   if (res.es_from.has_value()) {
     EXPECT_GE(*res.es_from, res.checked_rounds);
+  }
+}
+
+// ---------- planned_source against the survivor-vector scan ----------
+
+// The straightforward selection, kept as the oracle: list every process
+// alive past round k (or, for the ESS stable source, every correct one)
+// and hash-pick among them.
+ProcId survivor_scan_source(const EnvParams& env, const CrashPlan& crashes,
+                            Round k) {
+  if (env.kind == EnvKind::kESS && k > env.stabilization) {
+    const std::vector<ProcId> correct = crashes.correct(env.n);
+    return correct[hash_below(hash_mix(env.seed, 0x51ab1e, 0, 0),
+                              correct.size())];
+  }
+  std::vector<ProcId> eligible;
+  for (ProcId p = 0; p < env.n; ++p)
+    if (crashes.crash_round(p) > k) eligible.push_back(p);
+  return eligible[hash_below(hash_mix(env.seed, 0x50ce, k, 0),
+                             eligible.size())];
+}
+
+TEST(EnvSource, PlannedSourceMatchesSurvivorScan) {
+  const EnvKind kinds[] = {EnvKind::kMS, EnvKind::kES, EnvKind::kESS};
+  Rng rng(2024);
+  for (int trial = 0; trial < 600; ++trial) {
+    EnvParams env;
+    env.kind = kinds[trial % 3];
+    env.n = 1 + rng.below(64);
+    env.seed = rng.next_u64();
+    env.stabilization = rng.below(14);
+    // Up to n - 1 crashes; every fourth plan crashes all but one process.
+    const std::size_t f =
+        trial % 4 == 0 ? env.n - 1 : rng.below(env.n);
+    std::vector<ProcId> pids(env.n);
+    for (ProcId p = 0; p < env.n; ++p) pids[p] = p;
+    for (std::size_t i = 0; i + 1 < pids.size(); ++i)
+      std::swap(pids[i], pids[i + rng.below(pids.size() - i)]);
+    CrashPlan crashes;
+    Round max_crash = 0;
+    for (std::size_t i = 0; i < f; ++i) {
+      const Round r = 1 + rng.below(12);
+      crashes.crash_at(pids[i], r);
+      max_crash = std::max(max_crash, r);
+    }
+    const EnvDelayModel model(env, crashes);
+    const Round last = std::max(max_crash, env.stabilization) + 3;
+    for (Round k = 0; k <= last; ++k) {
+      const ProcId want = survivor_scan_source(env, crashes, k);
+      ASSERT_EQ(model.planned_source(k), want)
+          << "trial " << trial << " n " << env.n << " crashes " << f
+          << " round " << k;
+      if (env.kind != EnvKind::kESS || k <= env.stabilization) {
+        EXPECT_GT(crashes.crash_round(want), k);
+      }
+      for (ProcId q = 0; q < env.n; ++q) {
+        if (q == want) continue;
+        EXPECT_EQ(model.delay(k, want, q), 0u);
+      }
+    }
+    if (env.kind == EnvKind::kESS) {
+      EXPECT_EQ(model.stable_source(),
+                survivor_scan_source(env, crashes, env.stabilization + 1));
+    }
   }
 }
 

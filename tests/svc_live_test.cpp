@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
 #include <thread>
 
 #include "svc/client.hpp"
@@ -122,6 +123,52 @@ TEST(SvcLive, WeakSetAddsBecomeVisible) {
   cluster.stop_all();
   cluster.join();
 }
+
+// The add-visibility certificate needs a frame from every peer; the
+// node's own looped-back frame must not stand in for one.  Node 2 is
+// silent from the start, so an add at node 0 can never be certified and
+// resolves as a timeout when the rounds run out.  Both transports: UDP
+// attributes the own frame, TCP inbound does not.
+class SvcLiveWsAdd : public ::testing::TestWithParam<SvcSocketKind> {};
+
+TEST_P(SvcLiveWsAdd, AddDoesNotConfirmWithASilentPeer) {
+  LiveClusterOptions opt = base_options(3, 19);
+  opt.socket = GetParam();
+  opt.max_rounds = 40;
+  opt.crash_at = {0, 0, 1};
+  LiveCluster cluster(opt);
+  ASSERT_TRUE(cluster.start()) << cluster.error();
+  SvcClient client;
+  ASSERT_TRUE(client.connect(cluster.client_port(0)));
+  const auto r = client.ws_add(7, kOpTimeout);
+  EXPECT_TRUE(r.transport_ok) << client.error();
+  EXPECT_EQ(r.status, SvcStatus::kTimeout)
+      << "the add confirmed without node 2's frame";
+  cluster.stop_all();
+  cluster.join();
+  EXPECT_GE(cluster.node(0).rounds_executed(), opt.max_rounds);
+}
+
+TEST_P(SvcLiveWsAdd, AddConfirmsWhenEveryPeerSpeaks) {
+  LiveClusterOptions opt = base_options(3, 20);
+  opt.socket = GetParam();
+  LiveCluster cluster(opt);
+  ASSERT_TRUE(cluster.start()) << cluster.error();
+  SvcClient client;
+  ASSERT_TRUE(client.connect(cluster.client_port(1)));
+  EXPECT_TRUE(client.ws_add(8, kOpTimeout).ok()) << client.error();
+  cluster.stop_all();
+  cluster.join();
+}
+
+INSTANTIATE_TEST_SUITE_P(Sockets, SvcLiveWsAdd,
+                         ::testing::Values(SvcSocketKind::kUdp,
+                                           SvcSocketKind::kTcp),
+                         [](const auto& info) {
+                           return info.param == SvcSocketKind::kUdp
+                                      ? std::string("Udp")
+                                      : std::string("Tcp");
+                         });
 
 TEST(SvcLive, AbdRegisterRegularity) {
   LiveCluster cluster(base_options(3, 14));

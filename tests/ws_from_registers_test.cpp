@@ -2,6 +2,14 @@
 // interleavings of atomic register steps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <memory>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "shm/register_sim.hpp"
+
 #include "weakset/ws_from_mwmr.hpp"
 #include "weakset/ws_from_swmr.hpp"
 
@@ -125,6 +133,140 @@ TEST(StepScheduler, SameSeedSameSchedule) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].end, b[i].end);
     EXPECT_EQ(a[i].result, b[i].result);
+  }
+}
+
+// ---------- StepScheduler against the linear-scan scheduler ----------
+
+// The straightforward scheduler, kept as the oracle: every tick collects
+// the runnable ops (started, not finished) in injection order and picks
+// the rng.below(count)-th; a tick with nothing runnable just passes.
+class LinearScanScheduler {
+ public:
+  explicit LinearScanScheduler(std::uint64_t seed) : rng_(seed) {}
+
+  void inject(std::uint64_t start_tick, std::unique_ptr<StepOp> op,
+              std::function<void(std::uint64_t)> done) {
+    ops_.push_back({start_tick, std::move(op), std::move(done)});
+  }
+
+  std::uint64_t run() {
+    for (;;) {
+      std::vector<std::size_t> runnable;
+      bool any_future = false;
+      for (std::size_t i = 0; i < ops_.size(); ++i) {
+        if (!ops_[i].op) continue;
+        if (ops_[i].start_tick > tick_) {
+          any_future = true;
+          continue;
+        }
+        runnable.push_back(i);
+      }
+      if (runnable.empty()) {
+        if (!any_future) return tick_;
+        ++tick_;
+        continue;
+      }
+      const std::size_t pick = runnable[rng_.below(runnable.size())];
+      ++tick_;
+      if (ops_[pick].op->step()) {
+        auto done = std::move(ops_[pick].done);
+        ops_[pick].op.reset();
+        if (done) done(tick_);
+      }
+    }
+  }
+
+ private:
+  struct Op {
+    std::uint64_t start_tick;
+    std::unique_ptr<StepOp> op;
+    std::function<void(std::uint64_t)> done;
+  };
+  Rng rng_;
+  std::uint64_t tick_ = 0;
+  std::vector<Op> ops_;
+};
+
+// An op that completes after a fixed number of steps.
+class CountdownOp final : public StepOp {
+ public:
+  explicit CountdownOp(std::uint64_t steps) : left_(steps) {}
+  bool step() override { return --left_ == 0; }
+
+ private:
+  std::uint64_t left_;
+};
+
+struct ScriptedOp {
+  std::uint64_t start;
+  std::uint64_t steps;
+  // Injected by the completion of op `parent` (start is then an offset
+  // from 4 ticks before that end tick), or up front (kUpFront).
+  std::size_t parent;
+};
+
+constexpr std::size_t kUpFront = static_cast<std::size_t>(-1);
+
+// Random scripts: out-of-order start ticks, idle gaps far past the busy
+// stretch, and follow-up ops injected from completion callbacks.
+std::vector<ScriptedOp> random_script(Rng& rng) {
+  std::vector<ScriptedOp> ops;
+  const std::size_t count = 1 + rng.below(90);
+  for (std::size_t i = 0; i < count; ++i) {
+    ScriptedOp op;
+    op.steps = 1 + rng.below(6);
+    op.parent = i > 0 && rng.below(5) == 0 ? rng.below(i) : kUpFront;
+    // A parent's follow-up starts up to 4 ticks before or after its end.
+    op.start = op.parent != kUpFront ? rng.below(9)
+               : rng.below(4) == 0   ? 200 + rng.below(400)
+                                     : rng.below(120);
+    ops.push_back(op);
+  }
+  return ops;
+}
+
+template <typename Sched, typename Done>
+std::vector<std::uint64_t> run_script(const std::vector<ScriptedOp>& script,
+                                      std::uint64_t seed,
+                                      std::uint64_t* ticks) {
+  Sched sched(seed);
+  std::vector<std::uint64_t> end(script.size(), 0);
+  struct Ctx {
+    Sched* sched;
+    const std::vector<ScriptedOp>* script;
+    std::vector<std::uint64_t>* end;
+    void finish(std::size_t i, std::uint64_t tick) {
+      (*end)[i] = tick;
+      for (std::size_t c = 0; c < script->size(); ++c)
+        if ((*script)[c].parent == i)
+          start(c, tick + (*script)[c].start - std::min<std::uint64_t>(tick, 4));
+    }
+    void start(std::size_t i, std::uint64_t at) {
+      sched->inject(at, std::make_unique<CountdownOp>((*script)[i].steps),
+                    Done([this, i](std::uint64_t t) { finish(i, t); }));
+    }
+  } ctx{&sched, &script, &end};
+  for (std::size_t i = 0; i < script.size(); ++i)
+    if (script[i].parent == kUpFront) ctx.start(i, script[i].start);
+  *ticks = sched.run();
+  return end;
+}
+
+TEST(StepScheduler, MatchesLinearScanScheduler) {
+  Rng rng(77);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::vector<ScriptedOp> script = random_script(rng);
+    const std::uint64_t seed = rng.next_u64();
+    std::uint64_t want_ticks = 0;
+    std::uint64_t got_ticks = 0;
+    const auto want =
+        run_script<LinearScanScheduler, std::function<void(std::uint64_t)>>(
+            script, seed, &want_ticks);
+    const auto got = run_script<StepScheduler, StepScheduler::DoneFn>(
+        script, seed, &got_ticks);
+    ASSERT_EQ(got, want) << "trial " << trial;
+    ASSERT_EQ(got_ticks, want_ticks) << "trial " << trial;
   }
 }
 
