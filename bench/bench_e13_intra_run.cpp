@@ -1,29 +1,26 @@
-// E13 — sharded intra-run execution (PR 6 tentpole).
+// E13 — sharded intra-run execution.
 //
-// The sharded lock-step engine (net/lockstep.hpp) partitions processes
-// into S shards and runs each round's end-of-round and delivery waves
-// across the shared worker pool, aggregating uniform-delay broadcasts into
-// per-payload groups so the serial engine's n² per-link calendar entries
-// exist only as counter arithmetic.  Reports are byte-identical to the
-// serial reference at every shard/thread count.
+// The lock-step engine (net/lockstep.hpp) partitions processes into S
+// shards (S = 1 at the defaults) and runs each round's end-of-round and
+// delivery waves across the shared worker pool, aggregating uniform-delay
+// broadcasts into per-payload groups so a naive engine's n² per-link
+// calendar entries exist only as counter arithmetic.  Reports are
+// byte-identical at every shard/thread count.
 //
 //   E13.a  adversarial non-collapsing ES run at n = 1e5 (cycle-64
 //          proposals, 8 mid-flight crashes): single-threaded 8-shard
 //          baseline vs 2/4/8 worker threads on the SAME decomposition,
-//          interleaved A/B.  The serial engine is not a feasible baseline
-//          here — its per-link calendar at n = 1e5 is ~10^10 entries per
-//          round (hundreds of GB), so the 1-thread sharded engine (which
-//          runs the identical wave/merge code, just without workers) is
-//          the honest denominator for thread scaling.
+//          interleaved A/B.  The 1-thread 8-shard engine (the identical
+//          wave/merge code, just without workers) is the denominator for
+//          thread scaling.
 //   E13.b  E12-shaped run (ES, GST=0, 8 proposal values) on the expanded
-//          engine at n = 4096, where the serial reference IS feasible:
-//          serial vs the sharded engine at 1/2/4/8 threads, reports
-//          verified identical before any timing.
+//          engine at n = 4096: the one-shard default vs 8 shards on one
+//          thread and vs 2/4/8 threads, reports verified identical before
+//          any timing.
 //
 // BENCH_E13.json records both ladders plus hardware_threads — on a
 // single-core container the thread ratios honestly sit near 1.0 and the
-// multi-core CI runners show the real scaling; the serial-vs-sharded
-// aggregation win in E13.b is machine-independent.
+// multi-core CI runners show the real scaling.
 #include "bench_common.hpp"
 
 #include <thread>
@@ -121,14 +118,14 @@ void print_tables() {
                  "multi-core hosts.)\n";
   }
 
-  // ---- E13.b: serial reference vs sharded engine where both fit ------------
+  // ---- E13.b: the one-shard default vs more shards and threads -------------
   const std::size_t n_b = bench::smoke() ? 512 : 4096;
-  const int reps_b = 1;  // the serial side alone is ~30 s at n=4096
-  double serial_s = 0, sharded_1t_s = 0;
+  const int reps_b = 1;
+  double one_shard_s = 0, sharded_1t_s = 0;
   std::vector<double> wall_b(ladder.size(), 0);
   {
     ScenarioReport ref;
-    serial_s = bench::best_seconds(reps_b, [&] {
+    one_shard_s = bench::best_seconds(reps_b, [&] {
       ref = run_scenario(e13b_spec(n_b, 1), 1);
     });
     const std::string ref_json = ref.to_json_string(false);
@@ -138,11 +135,12 @@ void print_tables() {
         rep = run_scenario(e13b_spec(n_b, threads), 1);
       });
       ANON_CHECK_MSG(rep.to_json_string(false) == ref_json,
-                     "E13.b sharded report must be byte-identical to serial");
+                     "E13.b sharded report must be byte-identical to the "
+                     "one-shard report");
       return s;
     };
-    // engine_threads=1 is the serial engine through the spec surface, so
-    // the 1-thread *sharded* row drives LockstepOptions directly.
+    // The spec surface has no shard knob, so the 1-thread 8-shard row
+    // drives LockstepOptions directly.
     {
       ScenarioReport rep;
       ConsensusConfig cfg;  // e13b shape, sharded single-thread
@@ -152,34 +150,33 @@ void print_tables() {
       cfg.net.seed = spec.seeds[0];
       cfg.net.record_trace = false;
       cfg.net.engine_shards = 8;
-      ConsensusReport serial_rep, sharded_rep;
+      ConsensusReport one_shard_rep, sharded_rep;
       sharded_1t_s = bench::best_seconds(reps_b, [&] {
         sharded_rep = run_consensus(ConsensusAlgo::kEs, cfg);
       });
-      cfg.net.engine_shards = 0;  // the serial reference
-      serial_rep = run_consensus(ConsensusAlgo::kEs, cfg);
-      ANON_CHECK_MSG(sharded_rep.to_string() == serial_rep.to_string(),
-                     "E13.b aggregated engine must reproduce the serial "
+      cfg.net.engine_shards = 0;  // the one-shard default
+      one_shard_rep = run_consensus(ConsensusAlgo::kEs, cfg);
+      ANON_CHECK_MSG(sharded_rep.to_string() == one_shard_rep.to_string(),
+                     "E13.b 8-shard engine must reproduce the one-shard "
                      "report");
     }
     for (std::size_t i = 0; i < ladder.size(); ++i)
       wall_b[i] = timed_identical(ladder[i]);
 
-    Table t("E13.b  serial vs sharded engine, E12-shaped ES run (n=" +
-                Table::num(static_cast<std::uint64_t>(n_b)) + ")",
-            {"engine", "wall-clock s", "speedup vs serial"});
-    t.add_row({"serial reference", Table::num(serial_s, 3), "1.00x"});
-    t.add_row({"sharded, 1 thread", Table::num(sharded_1t_s, 3),
-               Table::ratio(sharded_1t_s > 0 ? serial_s / sharded_1t_s : 0)});
+    Table t("E13.b  one shard vs more shards and threads, E12-shaped ES "
+            "run (n=" + Table::num(static_cast<std::uint64_t>(n_b)) + ")",
+            {"engine", "wall-clock s", "speedup vs 1 shard"});
+    t.add_row({"1 shard, 1 thread (default)", Table::num(one_shard_s, 3),
+               "1.00x"});
+    t.add_row({"8 shards, 1 thread", Table::num(sharded_1t_s, 3),
+               Table::ratio(sharded_1t_s > 0 ? one_shard_s / sharded_1t_s
+                                             : 0)});
     for (std::size_t i = 0; i < ladder.size(); ++i)
-      t.add_row({"sharded, " + std::to_string(ladder[i]) + " threads",
+      t.add_row({std::to_string(ladder[i]) + " shards, " +
+                     std::to_string(ladder[i]) + " threads",
                  Table::num(wall_b[i], 3),
-                 Table::ratio(wall_b[i] > 0 ? serial_s / wall_b[i] : 0)});
+                 Table::ratio(wall_b[i] > 0 ? one_shard_s / wall_b[i] : 0)});
     t.print();
-    std::cout << "  (the serial engine materializes n² per-link calendar\n"
-                 "   entries per round; the sharded engine aggregates\n"
-                 "   uniform rounds into per-payload groups, so the win is\n"
-                 "   algorithmic, on top of thread scaling.)\n";
   }
 
   {
@@ -187,7 +184,7 @@ void print_tables() {
     j.set("experiment", std::string("E13"));
     j.set("workload",
           std::string("sharded intra-run execution: adversarial ES thread "
-                      "ladder (a) + serial-vs-sharded E12 shape (b)"));
+                      "ladder (a) + one-shard-vs-sharded E12 shape (b)"));
     j.set("hardware_threads", static_cast<std::uint64_t>(hw));
     j.set("a_n", static_cast<std::uint64_t>(n_a));
     j.set("a_rounds", rounds_a);
@@ -198,19 +195,19 @@ void print_tables() {
     j.set("a_wall_8t_s", wall_a[2]);
     j.set("a_speedup_8t", wall_a[2] > 0 ? base_s / wall_a[2] : 0.0);
     j.set("b_n", static_cast<std::uint64_t>(n_b));
-    j.set("b_wall_serial_s", serial_s);
+    j.set("b_wall_1shard_s", one_shard_s);
     j.set("b_wall_sharded_1t_s", sharded_1t_s);
     j.set("b_wall_sharded_8t_s", wall_b[2]);
     j.set("b_speedup_sharded_1t",
-          sharded_1t_s > 0 ? serial_s / sharded_1t_s : 0.0);
+          sharded_1t_s > 0 ? one_shard_s / sharded_1t_s : 0.0);
     j.set("smoke", static_cast<std::uint64_t>(bench::smoke() ? 1 : 0));
     const std::string path = bench::json_path("BENCH_E13.json");
     if (j.write(path))
       std::cout << "  [" << path << " written: a_n=" << n_a
                 << " 8t speedup=" << (wall_a[2] > 0 ? base_s / wall_a[2] : 0.0)
                 << "x on " << hw << " hw thread(s), b_n=" << n_b
-                << " serial/sharded=" <<
-          (sharded_1t_s > 0 ? serial_s / sharded_1t_s : 0.0) << "x]\n";
+                << " 1shard/8shard=" <<
+          (sharded_1t_s > 0 ? one_shard_s / sharded_1t_s : 0.0) << "x]\n";
   }
 }
 

@@ -1,11 +1,11 @@
-// E15 — sharded cohort execution (PR 8 tentpole).
+// E15 — sharded cohort execution.
 //
-// The cohort engine (net/cohort.hpp) now partitions its class list into
-// shards and runs each round's compute/broadcast and delivery waves on the
-// shared worker pool, with a deterministic barrier that canonicalizes
-// batch payloads by content digest across shards.  Reports are
-// byte-identical to the serial cohort engine at every shard/thread count,
-// and per-round scratch (digest buckets, split maps, unicast fan-out)
+// The cohort engine (net/cohort.hpp) partitions its class list into shards
+// (S = 1 at the defaults) and runs each round's compute/broadcast and
+// delivery waves on the shared worker pool, with a deterministic barrier
+// that canonicalizes batch payloads by content digest across shards.
+// Reports are byte-identical at every shard/thread count, and per-round
+// scratch (digest buckets, split maps, unicast fan-out)
 // lives in a bump arena so steady-state rounds are allocation-free
 // (tests/allocation_steady_state_test.cpp pins this).
 //
@@ -16,9 +16,10 @@
 //          before any timing.
 //   E15.b  collapsed run at scale — the e12-huge shape (8 proposal
 //          values, so C=8 and the O(n) setup/metric passes dominate):
-//          serial cohort engine vs the sharded engine, interleaved A/B.
-//          n = 1e8 in the full configuration; this is the committed
-//          serial-vs-sharded number behind the e12-huge preset.
+//          the one-shard default vs one shard per hardware thread
+//          (engine_threads = 0), interleaved A/B.  n = 1e8 in the full
+//          configuration; this is the committed number behind the
+//          e12-huge preset.
 //
 // BENCH_E15.json records both ladders plus hardware_threads — on a
 // single-core container the thread ratios honestly sit near 1.0; the
@@ -120,35 +121,36 @@ void print_tables() {
                  "multi-core runners.)\n";
   }
 
-  // ---- E15.b: serial vs sharded at scale (the e12-huge shape) --------------
+  // ---- E15.b: one shard vs sharded at scale (the e12-huge shape) -----------
   const std::size_t n_b = bench::smoke() ? 1000000 : 100000000;
   const int reps_b = 1;  // each side is a multi-second O(n) run
-  double serial_b = 0, sharded_b = 0;
+  double one_shard_b = 0, sharded_b = 0;
   std::uint64_t rounds_b = 0;
   {
-    ScenarioReport rep_serial, rep_sharded;
+    ScenarioReport rep_one_shard, rep_sharded;
     const bench::AbSeconds ab = bench::interleaved_ab_seconds(
         reps_b,
-        [&] { rep_serial = run_scenario(e15b_spec(n_b, 1), 1); },
+        [&] { rep_one_shard = run_scenario(e15b_spec(n_b, 1), 1); },
         [&] { rep_sharded = run_scenario(e15b_spec(n_b, 0), 1); });
-    serial_b = ab.a;
+    one_shard_b = ab.a;
     sharded_b = ab.b;
-    const auto& cell_s = rep_serial.consensus_cells[0].report;
+    const auto& cell_s = rep_one_shard.consensus_cells[0].report;
     const auto& cell_p = rep_sharded.consensus_cells[0].report;
     ANON_CHECK_MSG(cell_s.all_correct_decided && cell_s.agreement,
                    "E15.b must decide consensus");
     const bool identical = cell_s.to_string() == cell_p.to_string();
     rounds_b = cell_s.rounds_executed;
-    Table t("E15.b  serial vs sharded cohort engine, e12-huge shape (n=" +
+    Table t("E15.b  one shard vs sharded cohort engine, e12-huge shape (n=" +
                 Table::num(static_cast<std::uint64_t>(n_b)) +
                 ", 8 proposal values, interleaved A/B)",
             {"engine", "wall-clock s", "speedup", "reports identical"});
-    t.add_row({"serial cohort", Table::num(serial_b, 3), "1.00x", "-"});
+    t.add_row({"1 shard (default)", Table::num(one_shard_b, 3), "1.00x",
+               "-"});
     t.add_row({"sharded cohort (threads=0)", Table::num(sharded_b, 3),
                Table::ratio(ab.ratio()), identical ? "yes" : "NO — BUG"});
     t.print();
     ANON_CHECK_MSG(identical,
-                   "E15.b sharded report must reproduce the serial one");
+                   "E15.b sharded report must reproduce the one-shard one");
   }
 
   {
@@ -156,7 +158,7 @@ void print_tables() {
     j.set("experiment", std::string("E15"));
     j.set("workload",
           std::string("sharded cohort engine: distinct-value ES thread "
-                      "ladder + e12-huge-shaped serial-vs-sharded A/B"));
+                      "ladder + e12-huge-shaped one-shard-vs-sharded A/B"));
     j.set("a_n", static_cast<std::uint64_t>(n_a));
     j.set("a_wall_1t_s", base_s);
     j.set("a_wall_2t_s", wall_a[0]);
@@ -164,9 +166,9 @@ void print_tables() {
     j.set("a_wall_8t_s", wall_a[2]);
     j.set("a_rounds", rounds_a);
     j.set("b_n", static_cast<std::uint64_t>(n_b));
-    j.set("b_wall_serial_s", serial_b);
+    j.set("b_wall_1shard_s", one_shard_b);
     j.set("b_wall_sharded_s", sharded_b);
-    j.set("b_speedup", sharded_b > 0 ? serial_b / sharded_b : 0.0);
+    j.set("b_speedup", sharded_b > 0 ? one_shard_b / sharded_b : 0.0);
     j.set("b_rounds", rounds_b);
     j.set("hardware_threads", static_cast<std::uint64_t>(hw));
     j.set("smoke", static_cast<std::uint64_t>(bench::smoke() ? 1 : 0));
@@ -174,7 +176,7 @@ void print_tables() {
     if (j.write(path))
       std::cout << "  [" << path << " written: a_n=" << n_a
                 << " b_n=" << n_b << " b_speedup="
-                << (sharded_b > 0 ? serial_b / sharded_b : 0.0) << "x]\n";
+                << (sharded_b > 0 ? one_shard_b / sharded_b : 0.0) << "x]\n";
   }
 }
 

@@ -94,7 +94,7 @@ class History {
 // the (parent, value) map admits one node per key regardless of which
 // thread got there first — so pointer equality ⇔ structural equality
 // holds under any interleaving, and every observable History comparison
-// is content-based, keeping sharded runs byte-identical to serial ones.
+// is content-based, keeping runs byte-identical at every shard count.
 class HistoryArena {
  public:
   HistoryArena() = default;

@@ -14,8 +14,7 @@
 // ceil(remaining_weight / remaining_shards), always taking at least one
 // item and always leaving one per later shard.  For uniform weights this
 // reproduces the classic base/rem layout exactly (the first count % shards
-// ranges are one item wider) — LockstepNet relies on that to keep its
-// two-branch arithmetic shard_of() lookup valid.
+// ranges are one item wider).
 #pragma once
 
 #include <algorithm>
@@ -38,6 +37,10 @@ void balanced_ranges_weighted(std::size_t count, std::size_t shards,
                               WeightFn&& weight, std::vector<ShardRange>* out) {
   shards = std::clamp<std::size_t>(shards, 1, std::max<std::size_t>(count, 1));
   out->resize(shards);
+  if (shards == 1) {  // the default engines' case: no weights to sum
+    (*out)[0] = {0, count};
+    return;
+  }
   std::uint64_t remaining = 0;
   for (std::size_t i = 0; i < count; ++i)
     remaining += static_cast<std::uint64_t>(weight(i));

@@ -89,6 +89,16 @@ void WorkerPool::worker_loop() {
   }
 }
 
+void WorkerPool::parallel_for_shared(
+    std::size_t count, const std::function<void(std::size_t)>& body,
+    std::size_t max_participants) {
+  if (count == 1 || max_participants == 1) {
+    for (std::size_t i = 0; i < count; ++i) body(i);
+    return;
+  }
+  shared().parallel_for(count, body, max_participants);
+}
+
 void WorkerPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& body,
                               std::size_t max_participants) {

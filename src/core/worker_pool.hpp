@@ -58,6 +58,14 @@ class WorkerPool {
                     const std::function<void(std::size_t)>& body,
                     std::size_t max_participants = 0);
 
+  // parallel_for on the shared pool for the round engines, which fan one
+  // index per shard out every round: a loop that runs inline anyway (one
+  // index or one participant) never touches the pool, so a single-shard or
+  // single-threaded run starts no worker threads.
+  static void parallel_for_shared(std::size_t count,
+                                  const std::function<void(std::size_t)>& body,
+                                  std::size_t max_participants);
+
   // Deterministic map-reduce on top of parallel_for: computes
   // body(i) -> R for every index in parallel, then folds the results
   // *in index order* on the calling thread — so non-commutative or

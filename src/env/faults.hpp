@@ -6,8 +6,8 @@
 // messages, senders can be omission-faulty (alive but with dead outbound
 // links), and processes leave and rejoin.  `FaultPlan` layers those faults
 // on top of a DelayModel *without touching protocol code*: every fault is
-// a pure function of (fault seed, round, sender, receiver), so the serial,
-// sharded, and cohort engines compute identical fates and reports stay
+// a pure function of (fault seed, round, sender, receiver), so the
+// lock-step and cohort engines compute identical fates and reports stay
 // byte-identical at every thread/shard count.
 //
 // Fault taxonomy (all per-link, decided at the sender's end-of-round):
@@ -90,8 +90,8 @@ struct LinkFate {
 };
 
 // Deterministic Bernoulli draw from a 64-bit hash (53-bit mantissa
-// uniform).  Shared with runtime/bus.hpp's JitterPolicy so the simulated
-// and realtime backends read the same loss knob identically.
+// uniform).  Shared with runtime/jitter.hpp's JitterPolicy so the simulated
+// and live backends read the same loss knob identically.
 bool hash_chance(std::uint64_t h, double prob);
 
 // The fault stream seed for a run: the plan's own seed when pinned,
@@ -101,11 +101,11 @@ std::uint64_t fault_stream_seed(std::uint64_t run_seed,
                                 std::uint64_t plan_seed);
 
 // A compiled fault plan for one run.  Stateless after construction;
-// `fate` is pure in (round, sender, receiver), so any engine — serial,
-// sharded, cohort — computes identical verdicts in any order.  It runs
-// once per link, so it allocates nothing and costs no O(n) work: churn
-// windows are indexed by process and the source exemption is the delay
-// model's O(crashes) query.
+// `fate` is pure in (round, sender, receiver), so any engine — lock-step
+// at any shard count, cohort — computes identical verdicts in any order.
+// It runs once per link, so it allocates nothing and costs no O(n) work:
+// churn windows are indexed by process and the source exemption is the
+// delay model's O(crashes) query.
 class FaultPlan {
  public:
   FaultPlan() = default;

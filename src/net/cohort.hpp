@@ -47,24 +47,22 @@
 //    comparison — classes whose members became indistinguishable (e.g.
 //    distinct proposals converging on the decided value) re-collapse.
 //
-// Execution modes, mirroring LockstepNet (see DESIGN.md, "Sharded cohort
-// execution"):
-//
-//  * Serial reference (engine_threads == 1, engine_shards <= 1): one thread
-//    walks all classes — the differential oracle.
-//  * Sharded: classes are partitioned into contiguous shards over the
-//    process-wide WorkerPool.  Each round, the *compute wave* (one
-//    representative end-of-round + per-shard intern per class), the
-//    *delivery fan-out* (each class applies the round's broadcasts), the
-//    merge pass's digest loop and the reindex loops run shard-parallel;
-//    a serial barrier after the compute wave canonicalizes freshly interned
-//    payloads by content digest across shards — one object per content
-//    network-wide, so the split signatures' pointer-identity-is-content-
-//    identity invariant survives sharding — and everything order-sensitive
-//    (calendar scheduling, transport counters, crash bookkeeping, split and
-//    merge structure) replays serially in class order, byte-for-byte the
-//    serial engine's fold.  Reports are byte-identical at every
-//    thread/shard count (tests/cohort_net_test.cpp).
+// One execution path, sharded like LockstepNet's (see DESIGN.md, "Sharded
+// cohort execution"): classes are partitioned into at most S contiguous,
+// member-weighted shards over the process-wide WorkerPool, S = min(n,
+// engine_shards, or the participant count when that is 0) — S = 1 at the
+// defaults, where every pass runs inline on the calling thread.  Each
+// round, the *compute wave* (one representative end-of-round + per-shard
+// intern per class), the *delivery fan-out* (each class applies the
+// round's broadcasts), the merge pass's digest loop and the reindex loops
+// run shard-parallel; a serial barrier after the compute wave
+// canonicalizes freshly interned payloads by content digest across shards
+// — one object per content network-wide, so the split signatures'
+// pointer-identity-is-content-identity invariant holds at any S — and
+// everything order-sensitive (calendar scheduling, transport counters,
+// crash bookkeeping, split and merge structure) replays serially in class
+// order.  Reports are byte-identical at every thread/shard count
+// (tests/cohort_net_test.cpp).
 //
 // Per-round scratch that is map-shaped (receiver partitions and split maps
 // of asymmetric rounds) lives in a `RoundArena` (core/arena.hpp): bump
@@ -123,10 +121,10 @@ struct CohortOptions {
   // signature-partition machinery — degradation is principled, not
   // approximate.
   const FaultPlan* faults = nullptr;
-  // Worker-pool participants driving the per-round waves (1 = the serial
-  // reference engine; 0 = one per hardware thread) and the cohort-shard
-  // count (0 = one per participant).  Reports are byte-identical at any
-  // value — see the class comment.
+  // Worker-pool participants driving the per-round waves (0 = one per
+  // hardware thread) and the cohort-shard count (0 = one per participant,
+  // clamped to n).  Reports are byte-identical at any value — see the
+  // class comment.
   std::size_t engine_threads = 1;
   std::size_t engine_shards = 0;
 
@@ -173,11 +171,9 @@ class CohortNet {
     const std::size_t threads = opt_.engine_threads == 0
                                     ? resolve_sweep_threads(0)
                                     : opt_.engine_threads;
-    const std::size_t shards =
-        opt_.engine_shards == 0 ? threads : opt_.engine_shards;
     participants_ = std::max<std::size_t>(threads, 1);
-    sharded_ = shards > 1 || participants_ > 1;
-    shard_count_ = sharded_ ? std::max<std::size_t>(shards, 1) : 1;
+    shard_count_ = std::clamp<std::size_t>(
+        opt_.engine_shards == 0 ? participants_ : opt_.engine_shards, 1, n_);
     interners_.resize(shard_count_);
     cohort_of_.assign(n_, kNoCohort);
     decision_round_.assign(n_, kNoRound);
@@ -196,7 +192,7 @@ class CohortNet {
       }
       cohorts_.push_back(std::move(c));
     }
-    sort_and_reindex();
+    purge_sort_reindex();
     stats_.cohorts = stats_.max_cohorts = cohorts_.size();
     // Crash events, in firing order (ties broken by process id for
     // deterministic death bookkeeping).
@@ -219,7 +215,8 @@ class CohortNet {
   const CohortStats& stats() const { return stats_; }
   std::size_t cohort_count() const { return cohorts_.size(); }
 
-  // Shards the engine partitions classes into (1 = the serial reference).
+  // Shards the engine partitions classes into (at most; a round uses
+  // min(shards, classes) of them).
   std::size_t engine_shards() const { return shard_count_; }
 
   bool is_correct(ProcId p) const { return !crashes_.ever_crashes(p); }
@@ -367,7 +364,7 @@ class CohortNet {
   };
 
   // The compute wave's per-class output, staged for the serial schedule
-  // pass (and for cross-shard payload canonicalization in sharded mode).
+  // pass (and for cross-shard payload canonicalization).
   struct WaveOut {
     SharedBatch<M> payload;
     std::size_t bytes = 0;
@@ -439,23 +436,19 @@ class CohortNet {
     const std::size_t count = cohorts_.size();
     wave_out_.resize(count);
     wave_round_ = k;
-    if (!sharded_) {
-      interners_[0].round_reset();
-      compute_range(0, count, 0);
-    } else {
-      rebuild_shard_ranges(count);
-      WorkerPool::shared().parallel_for(
-          shard_ranges_.size(),
-          [this](std::size_t s) {
-            interners_[s].round_reset();
-            compute_range(shard_ranges_[s].first, shard_ranges_[s].second, s);
-          },
-          participants_);
-      canonicalize_wave_payloads();
-    }
+    rebuild_shard_ranges(count);
+    WorkerPool::parallel_for_shared(
+        shard_ranges_.size(),
+        [this](std::size_t s) {
+          interners_[s].round_reset();
+          compute_range(shard_ranges_[s].first, shard_ranges_[s].second, s);
+        },
+        participants_);
+    // One shard's interner is already unique by content: nothing to remap.
+    if (shard_ranges_.size() > 1) canonicalize_wave_payloads();
 
-    // Schedule wave: serial, in class order — byte-for-byte the serial
-    // engine's fold over counters, calendar entries and crash bookkeeping.
+    // Schedule wave: serial, in class order — the same fold over counters,
+    // calendar entries and crash bookkeeping at every shard count.
     bool structural = false;
     for (std::uint32_t ci = 0; ci < count; ++ci) {
       Cohort& c = *cohorts_[ci];
@@ -683,24 +676,20 @@ class CohortNet {
     // A = alive ∩ non-halted processes, for multiplicity-weighted counts —
     // an index-ordered map-reduce over the class shards (deterministic by
     // construction; integer sums commute anyway).
+    rebuild_shard_ranges(cohorts_.size());
+    reduce_scratch_.resize(shard_ranges_.size());
+    WorkerPool::parallel_for_shared(
+        shard_ranges_.size(),
+        [this](std::size_t s) {
+          std::uint64_t sum = 0;
+          for (std::size_t ci = shard_ranges_[s].first;
+               ci < shard_ranges_[s].second; ++ci)
+            if (!cohorts_[ci]->halted) sum += cohorts_[ci]->members.size();
+          reduce_scratch_[s] = sum;
+        },
+        participants_);
     std::uint64_t alive_nonhalted = 0;
-    if (!sharded_) {
-      for (const auto& c : cohorts_)
-        if (!c->halted) alive_nonhalted += c->members.size();
-    } else {
-      rebuild_shard_ranges(cohorts_.size());
-      alive_nonhalted = WorkerPool::shared().parallel_reduce(
-          shard_ranges_.size(), std::uint64_t{0}, reduce_scratch_,
-          [this](std::size_t s) {
-            std::uint64_t sum = 0;
-            for (std::size_t ci = shard_ranges_[s].first;
-                 ci < shard_ranges_[s].second; ++ci)
-              if (!cohorts_[ci]->halted) sum += cohorts_[ci]->members.size();
-            return sum;
-          },
-          [](std::uint64_t a, std::uint64_t b) { return a + b; },
-          participants_);
-    }
+    for (const std::uint64_t sum : reduce_scratch_) alive_nonhalted += sum;
 
     bool any_unicast = false;
     bool any_broadcast = false;
@@ -728,17 +717,13 @@ class CohortNet {
     // peers' identical broadcasts would.  The exchange is unobservable:
     // per-receiver insertion order is preserved and views sort by content.
     if (any_broadcast) {
-      if (!sharded_) {
-        receive_broadcasts_range(0, cohorts_.size());
-      } else {
-        WorkerPool::shared().parallel_for(
-            shard_ranges_.size(),
-            [this](std::size_t s) {
-              receive_broadcasts_range(shard_ranges_[s].first,
-                                       shard_ranges_[s].second);
-            },
-            participants_);
-      }
+      WorkerPool::parallel_for_shared(
+          shard_ranges_.size(),
+          [this](std::size_t s) {
+            receive_broadcasts_range(shard_ranges_[s].first,
+                                     shard_ranges_[s].second);
+          },
+          participants_);
     }
     if (any_unicast) deliver_unicasts(due_scratch_, r);
     due_scratch_.clear();
@@ -866,22 +851,18 @@ class CohortNet {
   // sorting flat (digest, index) pairs — the buckets are runs in a
   // capacity-retaining scratch vector, not a node-allocating hash map —
   // confirm exact equality, absorb.  Ascending index order within a run
-  // keeps the winner choice identical to the serial engine's.
+  // makes the winner choice independent of the shard count.
   void merge_converged() {
     const std::size_t count = cohorts_.size();
     if (count <= 1) return;
     merge_digests_.resize(count);
-    if (!sharded_) {
-      digest_range(0, count);
-    } else {
-      rebuild_shard_ranges(count);
-      WorkerPool::shared().parallel_for(
-          shard_ranges_.size(),
-          [this](std::size_t s) {
-            digest_range(shard_ranges_[s].first, shard_ranges_[s].second);
-          },
-          participants_);
-    }
+    rebuild_shard_ranges(count);
+    WorkerPool::parallel_for_shared(
+        shard_ranges_.size(),
+        [this](std::size_t s) {
+          digest_range(shard_ranges_[s].first, shard_ranges_[s].second);
+        },
+        participants_);
     merge_scratch_.clear();
     for (std::uint32_t i = 0; i < count; ++i)
       merge_scratch_.push_back({merge_digests_[i], i});
@@ -928,12 +909,8 @@ class CohortNet {
   }
 
   void note_decisions() {
-    if (!sharded_) {
-      note_decisions_range(0, cohorts_.size());
-      return;
-    }
     rebuild_shard_ranges(cohorts_.size());
-    WorkerPool::shared().parallel_for(
+    WorkerPool::parallel_for_shared(
         shard_ranges_.size(),
         [this](std::size_t s) {
           note_decisions_range(shard_ranges_[s].first,
@@ -969,21 +946,16 @@ class CohortNet {
                  const std::unique_ptr<Cohort>& b) {
                 return a->members.front() < b->members.front();
               });
-    if (!sharded_ || cohorts_.size() < 2) {
-      for (std::uint32_t i = 0; i < cohorts_.size(); ++i)
-        for (ProcId p : cohorts_[i]->members) cohort_of_[p] = i;
-    } else {
-      rebuild_shard_ranges(cohorts_.size());
-      WorkerPool::shared().parallel_for(
-          shard_ranges_.size(),
-          [this](std::size_t s) {
-            for (std::size_t ci = shard_ranges_[s].first;
-                 ci < shard_ranges_[s].second; ++ci)
-              for (ProcId p : cohorts_[ci]->members)
-                cohort_of_[p] = static_cast<std::uint32_t>(ci);
-          },
-          participants_);
-    }
+    rebuild_shard_ranges(cohorts_.size());
+    WorkerPool::parallel_for_shared(
+        shard_ranges_.size(),
+        [this](std::size_t s) {
+          for (std::size_t ci = shard_ranges_[s].first;
+               ci < shard_ranges_[s].second; ++ci)
+            for (ProcId p : cohorts_[ci]->members)
+              cohort_of_[p] = static_cast<std::uint32_t>(ci);
+        },
+        participants_);
     stats_.cohorts = cohorts_.size();
     stats_.max_cohorts = std::max(stats_.max_cohorts, cohorts_.size());
   }
@@ -1011,9 +983,8 @@ class CohortNet {
   std::uint64_t fault_drops_ = 0;
   std::uint64_t fault_dups_ = 0;
 
-  // Sharded-mode machinery (shard_count_ == 1 is the serial reference) and
-  // per-round scratch, all capacity-retaining across rounds.
-  bool sharded_ = false;
+  // Shard machinery and per-round scratch, all capacity-retaining across
+  // rounds.
   std::size_t shard_count_ = 1;
   std::size_t participants_ = 1;
   std::vector<std::pair<std::size_t, std::size_t>> shard_ranges_;
@@ -1027,8 +998,6 @@ class CohortNet {
   std::vector<std::uint64_t> reduce_scratch_;
   std::vector<Pending> due_scratch_;  // recycled take_due buffer
   RoundArena arena_;  // asymmetric-round receiver partitions + split maps
-
-  void sort_and_reindex() { purge_sort_reindex(); }
 };
 
 // The standard cohort construction for consensus workloads: processes

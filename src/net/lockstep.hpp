@@ -19,35 +19,30 @@
 // Disabling it yields best-effort broadcast for crashing senders; the
 // paper's safety properties must (and do — see tests) hold either way.
 //
-// Two execution modes share this class (see DESIGN.md, "Sharded intra-run
-// execution"):
-//
-//  * Serial reference (engine_threads == 1, engine_shards <= 1): one
-//    thread walks all n processes and a single calendar holds one pending
-//    entry per (sender, receiver) link.  This is the differential oracle —
-//    small, obviously-faithful code.
-//
-//  * Sharded (engine_shards > 1, or engine_threads != 1): processes are
-//    partitioned into S contiguous shards.  Each round runs two waves over
-//    the shared WorkerPool with a barrier between them — the end-of-round
-//    wave (compute + broadcast, per-shard interner/outboxes/trace buffers)
-//    and the delivery wave (per-shard calendars) — plus a serial merge at
-//    the barrier that canonicalizes freshly interned payloads by content
-//    digest across shards.  In uniform-delay rounds a non-crashing
-//    sender's broadcast is aggregated into a per-payload *group* delivered
-//    by content once per receiver (the n² per-link entries of the serial
-//    engine exist only as counter arithmetic), which is what makes
-//    adversarial runs at n = 10^5 feasible at all.  Group building is
-//    itself sharded: each shard pre-groups its own uniform senders during
-//    the wave, the barrier only merges the few per-shard (payload,
-//    member-range) summaries, and member lists are copied into the global
-//    groups by a second sharded pass — no O(n) serial section remains on
-//    the steady-state round path.  Barrier-local scratch lives in a
-//    RoundArena (core/arena.hpp) and groups are pooled, so steady-state
-//    rounds allocate nothing (tests/allocation_steady_state_test.cpp).
-//    Reports, metrics and traces are byte-identical to the serial engine
-//    at every shard/thread count; tests/sharded_net_test.cpp holds the two
-//    modes to that bar.
+// One round engine (see DESIGN.md, "Sharded intra-run execution"):
+// processes are partitioned into S contiguous shards, S = min(n,
+// engine_shards, or the participant count when that is 0) — S = 1 at the
+// defaults.  Each round runs two waves over the shared WorkerPool with a
+// barrier between them — the end-of-round wave (compute + broadcast,
+// per-shard interner/calendar/outboxes/trace buffers) and the delivery wave
+// (per-shard calendars) — plus a serial merge at the barrier that
+// canonicalizes freshly interned payloads by content digest across shards.
+// With one shard or one participant the pool runs both waves inline on the
+// calling thread.  In uniform-delay rounds a non-crashing sender's
+// broadcast is aggregated into a per-payload *group* delivered by content
+// once per receiver (the n² per-link entries of a naive engine exist only
+// as counter arithmetic), which is what makes adversarial runs at n = 10^5
+// feasible at all.  Group building is itself sharded: each shard
+// pre-groups its own uniform senders during the wave, the barrier only
+// merges the few per-shard (payload, member-range) summaries, and member
+// lists are copied into the global groups by a second sharded pass — no
+// O(n) serial section remains on the steady-state round path.
+// Barrier-local scratch lives in a RoundArena (core/arena.hpp) and groups
+// are pooled, so steady-state rounds allocate nothing
+// (tests/allocation_steady_state_test.cpp).  Reports, metrics and traces
+// are byte-identical at every shard/thread count and to the naive
+// per-link oracle in tests/serial_lockstep_oracle.hpp;
+// tests/sharded_net_test.cpp holds the engine to that bar.
 #pragma once
 
 #include <algorithm>
@@ -89,20 +84,17 @@ struct LockstepOptions {
   bool record_trace = true;     // end-of-round / crash events
   bool record_deliveries = true;  // delivery events (can be voluminous)
   HaltPolicy halt_policy = HaltPolicy::kContinueForever;
-  // Worker-pool participants driving the per-round waves.  1 = the serial
-  // reference engine (unless engine_shards forces sharded mode below);
-  // 0 = one per hardware thread.  Results are byte-identical at any value.
+  // Worker-pool participants driving the per-round waves; 0 = one per
+  // hardware thread.  Results are byte-identical at any value.
   std::size_t engine_threads = 1;
-  // Shard count for the sharded engine; 0 = one shard per participant.
-  // Setting engine_shards > 1 with engine_threads == 1 runs the sharded
-  // engine single-threaded — the bench baseline for measuring pure thread
-  // scaling, and the only way to run shapes whose per-link calendar would
-  // not fit in memory (n = 10^5 is ~10^10 link entries per round on the
-  // serial engine) on one thread.
+  // Shard count; 0 = one shard per participant, clamped to n.  Setting
+  // engine_shards > 1 with engine_threads == 1 runs the same sharded
+  // decomposition single-threaded — the bench baseline for measuring pure
+  // thread scaling.
   std::size_t engine_shards = 0;
   // Optional fault plan (env/faults.hpp), aliased for the run's lifetime;
-  // nullptr = the fault-free reliable network.  When active, the sharded
-  // engine forces the per-link path (fault fates are per-link, so uniform
+  // nullptr = the fault-free reliable network.  When active, the engine
+  // forces the per-link path (fault fates are per-link, so uniform
   // aggregation would be wrong) — fates are pure in (round, sender,
   // receiver), so reports stay byte-identical at every thread/shard count.
   const FaultPlan* faults = nullptr;
@@ -181,10 +173,8 @@ class LockstepNet {
   std::uint64_t fault_drops() const { return fault_drops_; }
   std::uint64_t fault_dups() const { return fault_dups_; }
 
-  // Shards the engine actually runs (1 = the serial reference path).
-  std::size_t engine_shards() const {
-    return shards_.empty() ? 1 : shards_.size();
-  }
+  // Shards the engine actually runs.
+  std::size_t engine_shards() const { return shards_.size(); }
 
   // Largest far-early overflow parking any inbox ever reached.  Lock-step
   // delivery never runs ahead of the window, so this should stay 0 — a
@@ -214,8 +204,7 @@ class LockstepNet {
     while (round_ < opt_.max_rounds) {
       deliver_due(round_);
       if (stop(*this)) return {round_, true};
-      advance_round();   // runs compute(round_ - 1 … ) for every process
-      note_decisions();  // decisions made by the computes just executed
+      advance_round();  // computes, broadcasts and decision stamps
     }
     return {round_, false};
   }
@@ -230,21 +219,12 @@ class LockstepNet {
   }
 
  private:
-  // A sender's round-k batch is interned once per round (shared immutable
-  // payload, deduplicated ACROSS senders by content digest); each
-  // receiver's calendar entry is pointer-sized and receiver-side inbox
-  // dedup is a pointer/digest compare, not a set-of-sets comparison.
-  struct Pending {
-    ProcId receiver;
-    ProcId sender;
-    Round msg_round;
-    SharedBatch<M> payload;
-  };
-
-  // ---- sharded-mode structures ----------------------------------------------
-
-  // One exact per-link delivery (the sharded equivalent of Pending): used
-  // for crashing senders, non-uniform rounds, and per-link trace mode.
+  // One exact per-link delivery: used for crashing senders, non-uniform
+  // rounds, fault plans and per-link trace mode.  A sender's round-k batch
+  // is interned once per round by its shard (shared immutable payload,
+  // deduplicated across senders by content digest), so the entry is
+  // pointer-sized and receiver-side inbox dedup is a pointer/digest
+  // compare, not a set-of-sets comparison.
   struct Exact {
     ProcId receiver;
     ProcId sender;
@@ -252,8 +232,9 @@ class LockstepNet {
     SharedBatch<M> payload;
   };
 
-  // An end-of-round-wave output entry, parked in the sender shard's outbox
-  // until the receiver shard merges it into its calendar (next barrier).
+  // An end-of-round-wave output entry for another shard, parked in the
+  // sender shard's outbox until the receiver shard merges it into its
+  // calendar (next delivery wave).
   struct OutEntry {
     Round due;
     Exact e;
@@ -262,7 +243,7 @@ class LockstepNet {
   // A uniform-delay payload group: every non-crashing sender of round
   // `msg_round` whose (canonical) batch is `payload`.  Delivery pushes the
   // payload once per alive receiver — receiver-side dedup makes the g
-  // pointer-identical pushes of the serial engine and this single push
+  // pointer-identical pushes of per-link delivery and this single push
   // indistinguishable — while the transport counters still account every
   // (sender, receiver) link individually.
   struct Group {
@@ -289,7 +270,11 @@ class LockstepNet {
   struct Shard {
     ProcId begin = 0, end = 0;  // contiguous process range [begin, end)
     BatchInterner<M> interner;  // per-shard; canonicalized at the barrier
-    RoundCalendar<Exact> calendar;           // deliveries to this shard
+    // Deliveries to this shard.  The shard owns it in both waves: its own
+    // senders' links are scheduled here during the end-of-round wave,
+    // other shards' links are merged from their outboxes in the delivery
+    // wave.
+    RoundCalendar<Exact> calendar;
     std::vector<std::vector<OutEntry>> outbox;  // [receiver shard]
     std::vector<PreGroup> pregroups;  // this wave's uniform senders, grouped
     std::size_t pregroup_count = 0;   // live prefix of `pregroups`
@@ -313,20 +298,13 @@ class LockstepNet {
   static constexpr std::size_t kGroupScanLimit = 32;
 
   void init_shards() {
-    std::size_t threads = opt_.engine_threads == 0
-                              ? resolve_sweep_threads(0)
-                              : opt_.engine_threads;
-    std::size_t shards = opt_.engine_shards == 0 ? threads : opt_.engine_shards;
-    shards = std::min(shards, n_);
+    const std::size_t threads = opt_.engine_threads == 0
+                                    ? resolve_sweep_threads(0)
+                                    : opt_.engine_threads;
     participants_ = std::max<std::size_t>(threads, 1);
-    if (shards <= 1 && participants_ <= 1) return;  // serial reference path
-    shards = std::max<std::size_t>(shards, 1);
+    const std::size_t shards = std::clamp<std::size_t>(
+        opt_.engine_shards == 0 ? participants_ : opt_.engine_shards, 1, n_);
     shards_.resize(shards);
-    // Processes weigh equally here, so the shared balanced partition
-    // (core/partition.hpp) reproduces the base/rem layout exactly — which
-    // keeps shard_of() below a two-branch division instead of a search.
-    shard_base_ = n_ / shards;
-    shard_rem_ = n_ % shards;
     std::vector<ShardRange> ranges;
     balanced_ranges(n_, shards, &ranges);
     for (std::size_t s = 0; s < shards; ++s) {
@@ -336,121 +314,25 @@ class LockstepNet {
     }
   }
 
-  std::size_t shard_of(ProcId q) const {
-    const ProcId wide = shard_rem_ * (shard_base_ + 1);
-    if (q < wide) return q / (shard_base_ + 1);
-    return shard_rem_ + (q - wide) / shard_base_;
-  }
-
   bool receives_at(ProcId q, Round r) const {
     return r < crash_round_[q] && !halted_[q];
   }
 
-  // ---- shared driver --------------------------------------------------------
+  // ---- round phases ---------------------------------------------------------
 
   void bootstrap() {
     decision_round_.assign(n_, kNoRound);
-    if (!shards_.empty()) {
-      eor_wave(/*next=*/1);
-      round_ = 1;
-      return;
-    }
-    interner_.round_reset();
-    for (ProcId p = 0; p < n_; ++p) step_eor(p, /*k=*/1);
+    eor_wave(/*next=*/1);
     round_ = 1;
   }
 
   void advance_round() {
     const Round next = round_ + 1;
-    if (!shards_.empty()) {
-      eor_wave(next);
-      round_ = next;
-      return;
-    }
-    interner_.round_reset();  // payload sharing is per (content, round)
-    for (ProcId p = 0; p < n_; ++p) {
-      if (next > crash_round_[p]) continue;  // crashed earlier
-      if (halted_[p]) continue;              // literal halt
-      step_eor(p, next);
-    }
+    eor_wave(next);
     round_ = next;
   }
 
-  void deliver_due(Round r) {
-    if (!shards_.empty()) {
-      deliver_wave(r);
-      return;
-    }
-    calendar_.advance_to(r);
-    calendar_.take_due_into(due_scratch_);
-    for (const Pending& d : due_scratch_) {
-      if (!receives_at(d.receiver, r)) continue;  // dead or halted
-      procs_[d.receiver]->receive(d.payload, d.msg_round);
-      deliveries_ += d.payload->size();
-      if (opt_.record_trace && opt_.record_deliveries)
-        trace_.record_delivery(d.sender, d.msg_round, d.receiver,
-                               procs_[d.receiver]->round(), r);
-    }
-    due_scratch_.clear();  // drop the payload refs until the next round
-  }
-
-  void note_decisions() {
-    if (!shards_.empty()) return;  // recorded inside the end-of-round wave
-    // Called right after advance_round(): the computes that just ran were
-    // compute(round_ - 1), so that is the deciding round.
-    for (ProcId p = 0; p < n_; ++p)
-      if (decision_round_[p] == kNoRound && procs_[p]->decision().has_value())
-        decision_round_[p] = round_ - 1;
-  }
-
-  // ---- serial reference path ------------------------------------------------
-
-  void step_eor(ProcId p, Round k) {
-    auto out = procs_[p]->end_of_round();
-    ANON_CHECK(out.round == k);
-    if (opt_.record_trace) trace_.record_end_of_round(p, k, k);
-    if (opt_.halt_policy == HaltPolicy::kStopAfterDecide &&
-        procs_[p]->decision().has_value())
-      halted_[p] = 1;
-
-    std::size_t batch_bytes = 0;
-    for (const M& m : out.batch) batch_bytes += MessageSizeOf<M>::size(m);
-    const SharedBatch<M> payload = interner_.intern(out.batch);
-
-    const bool crashing = crash_round_[p] == k;
-    for (ProcId q = 0; q < n_; ++q) {
-      if (q == p) continue;
-      Round d = delays_.delay(k, p, q);
-      if (crashing && !crashes_.in_final_audience(p, q, n_, opt_.seed)) {
-        if (!opt_.relay_partial_broadcast) continue;  // lost forever
-        d = std::max<Round>(d, 1) + opt_.relay_extra_delay;
-      }
-      // Both counters are per message on the link, so multi-message
-      // batches keep the sends/bytes ratio honest (E10).
-      sends_ += payload->size();
-      bytes_sent_ += batch_bytes;
-      if (opt_.faults != nullptr && opt_.faults->active()) {
-        const LinkFate f = opt_.faults->fate(k, p, q);
-        if (!f.deliver) {
-          fault_drops_ += payload->size();
-          continue;
-        }
-        d += f.extra_delay;
-        calendar_.schedule(k + d, Pending{q, p, k, payload});
-        if (f.duplicate) {
-          // dup_delay >= 1: the copy lands in a later delivery round, so
-          // it is observable (same-round copies dedup away in the set
-          // view) and the per-round trace key stays unique.
-          fault_dups_ += payload->size();
-          calendar_.schedule(k + d + f.dup_delay, Pending{q, p, k, payload});
-        }
-        continue;
-      }
-      calendar_.schedule(k + d, Pending{q, p, k, payload});
-    }
-  }
-
-  // ---- sharded path: end-of-round wave --------------------------------------
+  // ---- end-of-round wave ---------------------------------------------------
 
   void eor_wave(Round next) {
     // Fault fates vary per link, so an active plan forces the per-link
@@ -465,28 +347,29 @@ class LockstepNet {
     wave_round_ = next;
     wave_ud_ = ud;
     wave_plt_ = opt_.record_trace && opt_.record_deliveries;
-    WorkerPool::shared().parallel_for(
+    WorkerPool::parallel_for_shared(
         shards_.size(),
         [this](std::size_t s) {
-          shard_eor(shards_[s], wave_round_, wave_ud_, wave_plt_);
+          shard_eor(s, wave_round_, wave_ud_, wave_plt_);
         },
         participants_);
     merge_eor_barrier(next, ud);
   }
 
-  void shard_eor(Shard& sh, Round next, std::optional<Round> ud,
+  void shard_eor(std::size_t s, Round next, std::optional<Round> ud,
                  bool per_link_trace) {
+    Shard& sh = shards_[s];
     sh.interner.round_reset();
     sh.pregroup_count = 0;
     for (ProcId p = sh.begin; p < sh.end; ++p) {
       if (next > crash_round_[p] || halted_[p]) continue;
-      shard_step_eor(sh, p, next, ud, per_link_trace);
+      shard_step_eor(s, p, next, ud, per_link_trace);
     }
-    // The serial engine's note_decisions() scan, moved into the wave.  The
-    // bootstrap wave (next == 1) must NOT record: the serial engine first
-    // scans after advance_round() to round 2, stamping bootstrap-decided
-    // processes with round 1 — which is exactly what the next == 2 scan
-    // over the full shard range (not just the stepped processes) does.
+    // Decision stamps: a process first seen decided after the computes of
+    // wave `next` decided in round next - 1.  The bootstrap wave (next ==
+    // 1) runs no compute and records nothing; the next == 2 scan covers
+    // the full shard range (not just the stepped processes), so it stamps
+    // bootstrap-decided processes with round 1.
     if (next >= 2) {
       for (ProcId p = sh.begin; p < sh.end; ++p)
         if (decision_round_[p] == kNoRound && procs_[p]->decision().has_value())
@@ -494,8 +377,9 @@ class LockstepNet {
     }
   }
 
-  void shard_step_eor(Shard& sh, ProcId p, Round k, std::optional<Round> ud,
-                      bool per_link_trace) {
+  void shard_step_eor(std::size_t s, ProcId p, Round k,
+                      std::optional<Round> ud, bool per_link_trace) {
+    Shard& sh = shards_[s];
     auto out = procs_[p]->end_of_round();
     ANON_CHECK(out.round == k);
     if (opt_.record_trace) sh.eor_buf.push_back({p, k, k});
@@ -519,32 +403,47 @@ class LockstepNet {
       return;
     }
 
-    // Per-link fallback: exactly the serial loop, into per-shard outboxes.
-    for (ProcId q = 0; q < n_; ++q) {
-      if (q == p) continue;
-      Round d = delays_.delay(k, p, q);
-      if (crashing && !crashes_.in_final_audience(p, q, n_, opt_.seed)) {
-        if (!opt_.relay_partial_broadcast) continue;  // lost forever
-        d = std::max<Round>(d, 1) + opt_.relay_extra_delay;
-      }
-      sh.sends += payload->size();
-      sh.bytes += batch_bytes;
-      if (opt_.faults != nullptr && opt_.faults->active()) {
-        const LinkFate f = opt_.faults->fate(k, p, q);
-        if (!f.deliver) {
-          sh.fdrops += payload->size();
+    // Per-link fallback, walking the receivers shard range by shard range.
+    // A link into the sender's own shard goes straight into that shard's
+    // calendar, which this shard owns in both waves; only cross-shard
+    // links park in an outbox until the delivery wave.
+    const bool faulted = opt_.faults != nullptr && opt_.faults->active();
+    for (std::size_t t = 0; t < shards_.size(); ++t) {
+      const bool own = t == s;
+      auto post = [&](Round due, ProcId q) {
+        if (own)
+          sh.calendar.schedule(due, Exact{q, p, k, payload});
+        else
+          sh.outbox[t].push_back({due, Exact{q, p, k, payload}});
+      };
+      for (ProcId q = shards_[t].begin; q < shards_[t].end; ++q) {
+        if (q == p) continue;
+        Round d = delays_.delay(k, p, q);
+        if (crashing && !crashes_.in_final_audience(p, q, n_, opt_.seed)) {
+          if (!opt_.relay_partial_broadcast) continue;  // lost forever
+          d = std::max<Round>(d, 1) + opt_.relay_extra_delay;
+        }
+        sh.sends += payload->size();
+        sh.bytes += batch_bytes;
+        if (faulted) {
+          const LinkFate f = opt_.faults->fate(k, p, q);
+          if (!f.deliver) {
+            sh.fdrops += payload->size();
+            continue;
+          }
+          d += f.extra_delay;
+          post(k + d, q);
+          if (f.duplicate) {
+            // dup_delay >= 1: the copy lands in a later delivery round, so
+            // it is observable (same-round copies dedup away in the set
+            // view) and the per-round trace key stays unique.
+            sh.fdups += payload->size();
+            post(k + d + f.dup_delay, q);
+          }
           continue;
         }
-        d += f.extra_delay;
-        sh.outbox[shard_of(q)].push_back({k + d, Exact{q, p, k, payload}});
-        if (f.duplicate) {
-          sh.fdups += payload->size();
-          sh.outbox[shard_of(q)].push_back(
-              {k + d + f.dup_delay, Exact{q, p, k, payload}});
-        }
-        continue;
+        post(k + d, q);
       }
-      sh.outbox[shard_of(q)].push_back({k + d, Exact{q, p, k, payload}});
     }
   }
 
@@ -618,35 +517,16 @@ class LockstepNet {
       payload = it->to;
   }
 
-  // The serial slice between the waves: splice trace buffers and counters
-  // (shard order = process order), canonicalize freshly interned payloads
-  // across shards, and merge the shards' pregroups into per-payload
-  // groups.  The only O(n) work left — copying member lists into the
-  // global groups — runs as a second sharded pass; everything serial here
-  // is O(shards × distinct payloads).  Scratch lives in the round arena,
-  // reclaimed wholesale by the reset at the next barrier.
-  void merge_eor_barrier(Round next, std::optional<Round> ud) {
-    for (Shard& sh : shards_) {
-      for (const EndOfRoundEvent& e : sh.eor_buf)
-        trace_.record_end_of_round(e.process, e.round, e.time);
-      sh.eor_buf.clear();
-      sends_ += sh.sends;
-      bytes_sent_ += sh.bytes;
-      fault_drops_ += sh.fdrops;
-      fault_dups_ += sh.fdups;
-      sh.sends = sh.bytes = sh.fdrops = sh.fdups = 0;
-    }
-    arena_.reset();
-
-    // Canonicalization, first discovery wins: the first shard (in shard
-    // order) to intern a given content provides the network-wide object;
-    // later shards record a remap from their local object.  Purely an
-    // identity decision — every observable (metrics, inbox views, traces)
-    // is content-based — but it preserves the serial engine's payload-
-    // sharing invariant: one object per content network-wide, so receiver
-    // dedup stays a pointer compare.  Sorting flat (digest, discovery-seq)
-    // entries replaces the old per-digest hash buckets: same winner, no
-    // node allocations.
+  // Canonicalization, first discovery wins: the first shard (in shard
+  // order) to intern a given content provides the network-wide object;
+  // later shards record a remap from their local object, applied to their
+  // pregroups and outbox entries.  Purely an identity decision: every
+  // observable (metrics, inbox views, traces) is content-based, which is
+  // also why links a shard scheduled straight into its own calendar may
+  // keep the shard-local object.  Sorting flat (digest, discovery-seq)
+  // entries gives the same winner as per-digest hash buckets, with no node
+  // allocations.  Scratch lives in the round arena.
+  void canonicalize_fresh_payloads() {
     struct BarrierCanon {
       std::uint64_t digest;
       std::uint32_t seq;    // discovery order: shard order, in-shard order
@@ -688,6 +568,29 @@ class LockstepNet {
                     return a.from < b.from;
                   });
     }
+  }
+
+  // The serial slice between the waves: splice trace buffers and counters
+  // (shard order = process order), canonicalize freshly interned payloads
+  // across shards, and merge the shards' pregroups into per-payload
+  // groups.  The only O(n) work left — copying member lists into the
+  // global groups — runs as a second sharded pass; everything serial here
+  // is O(shards × distinct payloads).  Scratch lives in the round arena,
+  // reclaimed wholesale by the reset at the next barrier.
+  void merge_eor_barrier(Round next, std::optional<Round> ud) {
+    for (Shard& sh : shards_) {
+      for (const EndOfRoundEvent& e : sh.eor_buf)
+        trace_.record_end_of_round(e.process, e.round, e.time);
+      sh.eor_buf.clear();
+      sends_ += sh.sends;
+      bytes_sent_ += sh.bytes;
+      fault_drops_ += sh.fdrops;
+      fault_dups_ += sh.fdups;
+      sh.sends = sh.bytes = sh.fdrops = sh.fdups = 0;
+    }
+    arena_.reset();
+    // One shard's interner is already unique by content: nothing to remap.
+    if (shards_.size() > 1) canonicalize_fresh_payloads();
 
     // Merge the shards' pregroups by canonical payload.  Shard order then
     // in-shard order keeps every group's `members` globally ascending; the
@@ -716,7 +619,7 @@ class LockstepNet {
       wave_groups_[g]->members.resize(group_totals_[g]);
     if (!refs.empty()) {
       const ArenaVector<BuildRef>* refp = &refs;
-      WorkerPool::shared().parallel_for(
+      WorkerPool::parallel_for_shared(
           shards_.size(),
           [this, refp](std::size_t s) {
             for (const BuildRef& br : *refp) {
@@ -736,14 +639,14 @@ class LockstepNet {
     if (!group_index_.empty()) group_index_.clear();
   }
 
-  // ---- sharded path: delivery wave ------------------------------------------
+  // ---- delivery wave -------------------------------------------------------
 
-  void deliver_wave(Round r) {
+  void deliver_due(Round r) {
     group_cal_.advance_to(r);
     group_cal_.take_due_into(due_groups_);
     wave_round_ = r;
     wave_plt_ = opt_.record_trace && opt_.record_deliveries;
-    WorkerPool::shared().parallel_for(
+    WorkerPool::parallel_for_shared(
         shards_.size(),
         [this](std::size_t t) { shard_deliver(t, wave_round_, wave_plt_); },
         participants_);
@@ -767,11 +670,13 @@ class LockstepNet {
 
   void shard_deliver(std::size_t t, Round r, bool per_link_trace) {
     Shard& sh = shards_[t];
-    // 1. Merge the last wave's outbox entries bound for this shard into
-    //    this shard's calendar, remapping payloads to their canonical
-    //    object.  Iterating sender shards in order reproduces the serial
-    //    calendar's FIFO insertion order (round asc, sender asc, receiver
-    //    asc) exactly, entry for entry.
+    // 1. Merge the last wave's cross-shard links bound for this shard into
+    //    its calendar, remapping payloads to their canonical object.  A
+    //    due slot thus holds each wave's own-shard links (scheduled during
+    //    the wave) before its cross-shard ones, not in global sender order.
+    //    That is unobservable: inbox views sort by digest, counters are
+    //    sums, and per-link trace events are sorted at
+    //    splice_delivery_events.
     for (Shard& from : shards_) {
       std::vector<OutEntry>& box = from.outbox[t];
       for (OutEntry& oe : box) {
@@ -792,10 +697,10 @@ class LockstepNet {
                                    procs_[e.receiver]->round(), r});
     }
     sh.due_scratch.clear();  // drop the payload refs until the next round
-    // 3. Uniform payload groups (fast mode only; a group of g senders is
-    //    one content push per alive receiver — the serial engine's g
-    //    pointer-identical pushes dedup to the same view — plus exact link
-    //    accounting: g messages per non-member, g-1 per member).
+    // 3. Uniform payload groups (a group of g senders is one content push
+    //    per alive receiver — g per-link pushes of the same payload dedup
+    //    to the same view — plus exact link accounting: g messages per
+    //    non-member, g-1 per member).
     for (const std::shared_ptr<const Group>& g : due_groups_) {
       const std::uint64_t sz = g->payload->size();
       const std::uint64_t gsize = g->members.size();
@@ -824,11 +729,13 @@ class LockstepNet {
     }
   }
 
-  // Per-link trace mode: reproduce the serial delivery-event order.  The
-  // serial calendar records slot r in insertion order — msg_round asc,
-  // then sender asc, then receiver asc — and (msg_round, sender, receiver)
-  // is unique per round, so sorting the shards' buffers by that key yields
-  // the serial trace byte for byte.
+  // Per-link trace mode: delivery events in (msg_round, sender, receiver)
+  // order — the order of a naive engine that walks senders, then
+  // receivers (tests/serial_lockstep_oracle.hpp) — a key unique per round.
+  // One shard's calendar already yields that order: every link enters it
+  // in the end-of-round wave, senders and receivers ascending.  With more
+  // shards the cross-shard links arrive later (see shard_deliver), so the
+  // shards' buffers are sorted here.
   void splice_delivery_events() {
     delivery_splice_.clear();
     for (Shard& sh : shards_) {
@@ -836,12 +743,14 @@ class LockstepNet {
                               sh.delivery_buf.end());
       sh.delivery_buf.clear();
     }
-    std::sort(delivery_splice_.begin(), delivery_splice_.end(),
-              [](const DeliveryEvent& a, const DeliveryEvent& b) {
-                if (a.msg_round != b.msg_round) return a.msg_round < b.msg_round;
-                if (a.sender != b.sender) return a.sender < b.sender;
-                return a.receiver < b.receiver;
-              });
+    if (shards_.size() > 1)
+      std::sort(delivery_splice_.begin(), delivery_splice_.end(),
+                [](const DeliveryEvent& a, const DeliveryEvent& b) {
+                  if (a.msg_round != b.msg_round)
+                    return a.msg_round < b.msg_round;
+                  if (a.sender != b.sender) return a.sender < b.sender;
+                  return a.receiver < b.receiver;
+                });
     for (const DeliveryEvent& e : delivery_splice_)
       trace_.record_delivery(e.sender, e.msg_round, e.receiver,
                              e.receiver_round, e.time);
@@ -855,24 +764,16 @@ class LockstepNet {
   Trace trace_;
   Round round_ = 0;
 
-  // Struct-of-arrays hot state shared by both modes: the per-round scans
-  // (who steps, who receives, who decided) touch these flat arrays, not
-  // the process objects.  halted_ is uint8_t, not vector<bool> — shard
-  // threads write disjoint indices, and bit-packing would make those
-  // writes race.
+  // Struct-of-arrays hot state: the per-round scans (who steps, who
+  // receives, who decided) touch these flat arrays, not the process
+  // objects.  halted_ is uint8_t, not vector<bool> — shard threads write
+  // disjoint indices, and bit-packing would make those writes race.
   std::vector<Round> crash_round_;
   std::vector<std::uint8_t> halted_;
   std::vector<Round> decision_round_;
 
-  // Serial reference path.
-  RoundCalendar<Pending> calendar_;
-  std::vector<Pending> due_scratch_;  // recycled take_due buffer (serial path)
-  BatchInterner<M> interner_;
-
-  // Sharded path (empty shards_ = serial mode).
-  std::vector<Shard> shards_;
+  std::vector<Shard> shards_;  // S >= 1
   std::size_t participants_ = 1;
-  std::size_t shard_base_ = 0, shard_rem_ = 0;
   RoundCalendar<std::shared_ptr<const Group>> group_cal_;
   std::vector<std::shared_ptr<const Group>> due_groups_;
   std::vector<DeliveryEvent> delivery_splice_;

@@ -104,9 +104,9 @@ ScenarioSpec e12_spec(const std::string& name, std::size_t n) {
 // E13: sharded intra-run execution on the expanded backend — an E1-shaped
 // ES run with mid-flight random crashes (so the per-link audience fallback
 // gets exercised, not just the uniform fast path), engine_threads=0 = one
-// shard per hardware thread.  The report is byte-identical to the serial
-// engine; the preset exists so CI's smoke job and the sharded engine's
-// bench A/B have a named shape to drive.
+// shard per hardware thread.  The report is byte-identical to the
+// one-shard default; the preset exists so CI's smoke job and the sharded
+// engine's bench A/B have a named shape to drive.
 ScenarioSpec e13_spec(const std::string& name, std::size_t n,
                       std::size_t crashes) {
   ScenarioSpec spec = base_spec(name, ScenarioFamily::kConsensus, 1);

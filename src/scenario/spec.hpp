@@ -132,8 +132,8 @@ struct ConsensusSpecSection {
   ConsensusBackend backend = ConsensusBackend::kExpanded;
   // Worker-pool participants for either backend's intra-run waves
   // (LockstepOptions::engine_threads / CohortOptions::engine_threads):
-  // 1 = the serial reference engine, 0 = one per hardware thread, N = the
-  // N-shard parallel engine.  Results are byte-identical at any value on
+  // 1 = one shard on the calling thread, 0 = one per hardware thread, N =
+  // N shards on N threads.  Results are byte-identical at any value on
   // both backends — the cohort engine shards its class list the same way
   // the expanded engine shards processes.
   std::size_t engine_threads = 1;
@@ -182,8 +182,8 @@ struct WeaksetSpecSection {
   Mode mode = Mode::kSet;
   Backend backend = Backend::kExpanded;
   // Worker-pool participants for either backend's intra-run waves
-  // (1 = serial reference, 0 = one per hardware thread); byte-identical
-  // results at any value.
+  // (1 = one shard on the calling thread, 0 = one per hardware thread);
+  // byte-identical results at any value.
   std::size_t engine_threads = 1;
   std::vector<WeaksetOpSpec> script;  // explicit; empty ⇒ generated
   // Generated workload (`gen_ops` mutation/observation pairs, the E4/E6

@@ -9,7 +9,7 @@
 // cluster on a recycled port decodes fine but is discarded by epoch);
 // `round` is the GIRAF round for round-kind frames and unused otherwise.
 //
-// Round payloads carry a whole GIRAF batch in the realtime.hpp body shape:
+// Round payloads carry a whole GIRAF batch:
 //   u32 batch_count | { u32 len | encode_es_message bytes }*
 // Both the ES consensus automaton and Algorithm 4's weak-set automaton
 // exchange `ValueSet`s, so one batch codec serves both frame kinds.

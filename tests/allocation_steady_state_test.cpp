@@ -4,12 +4,12 @@
 // Workload: ES consensus under synchronous delays with kContinueForever —
 // after the decision round every process re-broadcasts its frozen {VAL}
 // message, so round content repeats forever.  In that steady state a round
-// must perform ZERO heap allocations on every engine:
-//   * serial LockstepNet      (per-link calendar entries recycled),
-//   * sharded LockstepNet     (pregroup/group pools, arena barrier scratch,
-//                              [this]-only wave captures),
-//   * serial CohortNet        (interner generation reuse, own-cache hits),
-//   * sharded CohortNet       (per-shard interners, arena digest buckets).
+// must perform ZERO heap allocations on both engines, at the one-shard
+// default and at 4 threads × 4 shards:
+//   * LockstepNet  (pregroup/group pools, arena barrier scratch, recycled
+//                   calendar slots, [this]-only wave captures),
+//   * CohortNet    (per-shard interners with generation reuse, own-cache
+//                   hits, arena digest buckets).
 // The measurement window is placed between BatchInterner compaction
 // generations (every 64 round_resets) so the counter sees only the round
 // path itself.
@@ -126,9 +126,9 @@ std::size_t cohort_steady_allocations(std::size_t engine_threads) {
   return allocs;
 }
 
-TEST(AllocationSteadyState, SerialLockstepRoundsAreAllocationFree) {
+TEST(AllocationSteadyState, OneShardLockstepRoundsAreAllocationFree) {
   EXPECT_EQ(lockstep_steady_allocations(1, 0), 0u)
-      << "serial LockstepNet allocated on the steady-state round path";
+      << "one-shard LockstepNet allocated on the steady-state round path";
 }
 
 TEST(AllocationSteadyState, ShardedLockstepRoundsAreAllocationFree) {
@@ -136,9 +136,9 @@ TEST(AllocationSteadyState, ShardedLockstepRoundsAreAllocationFree) {
       << "sharded LockstepNet allocated on the steady-state round path";
 }
 
-TEST(AllocationSteadyState, SerialCohortRoundsAreAllocationFree) {
+TEST(AllocationSteadyState, OneShardCohortRoundsAreAllocationFree) {
   EXPECT_EQ(cohort_steady_allocations(1), 0u)
-      << "serial CohortNet allocated on the steady-state round path";
+      << "one-shard CohortNet allocated on the steady-state round path";
 }
 
 TEST(AllocationSteadyState, ShardedCohortRoundsAreAllocationFree) {

@@ -362,11 +362,11 @@ TEST(CohortNet, RejectsNonClonableAutomatonsOnlyWhenSplitting) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded cohort execution (PR 8 tentpole): the sharded cohort engine must
-// be BYTE-IDENTICAL to the serial cohort engine — decisions, decision
+// Sharded cohort execution: the cohort engine must be BYTE-IDENTICAL at
+// every thread/shard count to its one-shard default — decisions, decision
 // rounds, transport and fault counters, and the structural collapse stats
-// (splits, merges, clones, peak class count) — at every thread/shard
-// count, under randomized environments, crash plans and fault plans.
+// (splits, merges, clones, peak class count) — under randomized
+// environments, crash plans and fault plans.
 
 struct CohortRun {
   Observed obs;
@@ -399,16 +399,17 @@ CohortRun run_cohort(const Scenario& sc, const DelayModel& delays,
   return r;
 }
 
-// Serial reference vs engine_threads ∈ {2, 8} and the decoupled
-// single-threaded 8-shard engine.  Returns the serial stats for shape
+// The one-shard default vs engine_threads ∈ {2, 8} and the decoupled
+// single-threaded 8-shard engine.  Returns the one-shard stats for shape
 // assertions.
 CohortStats check_cohort_thread_invariance(const Scenario& sc0,
                                            const std::string& what) {
   Scenario sc = sc0;
   const EnvDelayModel delays(sc.env, sc.crashes);
   const FaultPlan plan(sc.faults, sc.net.seed, sc.env.n, &delays);
-  const CohortRun serial = run_cohort(sc, delays, &plan, 1, 0);
-  EXPECT_EQ(serial.shards, 1u) << what << ": engine_threads=1 must be serial";
+  const CohortRun one_shard = run_cohort(sc, delays, &plan, 1, 0);
+  EXPECT_EQ(one_shard.shards, 1u)
+      << what << ": engine_threads=1 runs one shard";
   struct Mode {
     std::size_t threads, shards;
   };
@@ -418,17 +419,17 @@ CohortStats check_cohort_thread_invariance(const Scenario& sc0,
     const std::string label = what + " threads=" + std::to_string(m.threads) +
                               " shards=" + std::to_string(m.shards);
     EXPECT_GT(sharded.shards, 1u) << label;
-    expect_equal(serial.obs, sharded.obs, label);
-    EXPECT_EQ(serial.stats.cohorts, sharded.stats.cohorts) << label;
-    EXPECT_EQ(serial.stats.max_cohorts, sharded.stats.max_cohorts) << label;
-    EXPECT_EQ(serial.stats.splits, sharded.stats.splits) << label;
-    EXPECT_EQ(serial.stats.merges, sharded.stats.merges) << label;
-    EXPECT_EQ(serial.stats.clones, sharded.stats.clones) << label;
+    expect_equal(one_shard.obs, sharded.obs, label);
+    EXPECT_EQ(one_shard.stats.cohorts, sharded.stats.cohorts) << label;
+    EXPECT_EQ(one_shard.stats.max_cohorts, sharded.stats.max_cohorts) << label;
+    EXPECT_EQ(one_shard.stats.splits, sharded.stats.splits) << label;
+    EXPECT_EQ(one_shard.stats.merges, sharded.stats.merges) << label;
+    EXPECT_EQ(one_shard.stats.clones, sharded.stats.clones) << label;
   }
-  return serial.stats;
+  return one_shard.stats;
 }
 
-TEST(ShardedCohortEquivalence, RandomizedConfigsMatchSerialAtEveryThreadCount) {
+TEST(ShardedCohortEquivalence, RandomizedConfigsMatchAtEveryThreadCount) {
   // Randomized (seed, env kind, crash plan, fault plan) configurations
   // across both algorithms; every one must be identical at engine_threads
   // ∈ {1, 2, 8} and at engine_shards = 8 on one thread.
@@ -496,7 +497,7 @@ TEST(ShardedCohortSplit, MidRoundCrashSplitsClassStraddlingShardBoundaries) {
   EXPECT_GE(stats.max_cohorts, 2u);
 }
 
-TEST(ShardedCohortSplit, TriangularRevealFullSplitMatchesSerial) {
+TEST(ShardedCohortSplit, TriangularRevealFullSplitMatchesOneShard) {
   // The hardest structural case for the sharded engine: round 1 splits
   // n distinct proposals into n singleton classes (every shard boundary
   // crossed, maximal cross-shard payload canonicalization), then the
@@ -519,9 +520,9 @@ TEST(ShardedCohortSplit, TriangularRevealFullSplitMatchesSerial) {
     r.shards = c.engine_shards();
     return r;
   };
-  const CohortRun serial = run(1, 0);
-  EXPECT_EQ(serial.stats.max_cohorts, n);
-  EXPECT_GE(serial.stats.merges, 1u);
+  const CohortRun one_shard = run(1, 0);
+  EXPECT_EQ(one_shard.stats.max_cohorts, n);
+  EXPECT_GE(one_shard.stats.merges, 1u);
   struct Mode {
     std::size_t threads, shards;
   };
@@ -530,11 +531,11 @@ TEST(ShardedCohortSplit, TriangularRevealFullSplitMatchesSerial) {
     const std::string label = "triangular threads=" +
                               std::to_string(m.threads) +
                               " shards=" + std::to_string(m.shards);
-    expect_equal(serial.obs, sharded.obs, label);
-    EXPECT_EQ(serial.stats.max_cohorts, sharded.stats.max_cohorts) << label;
-    EXPECT_EQ(serial.stats.splits, sharded.stats.splits) << label;
-    EXPECT_EQ(serial.stats.merges, sharded.stats.merges) << label;
-    EXPECT_EQ(serial.stats.clones, sharded.stats.clones) << label;
+    expect_equal(one_shard.obs, sharded.obs, label);
+    EXPECT_EQ(one_shard.stats.max_cohorts, sharded.stats.max_cohorts) << label;
+    EXPECT_EQ(one_shard.stats.splits, sharded.stats.splits) << label;
+    EXPECT_EQ(one_shard.stats.merges, sharded.stats.merges) << label;
+    EXPECT_EQ(one_shard.stats.clones, sharded.stats.clones) << label;
   }
 }
 
@@ -555,11 +556,11 @@ TEST(ShardedCohortBackend, RunnerReportsMatchAtEveryThreadCount) {
     cfg.backend = ConsensusBackend::kCohort;
 
     cfg.net.engine_threads = 1;
-    const ConsensusReport serial = run_consensus(algo, cfg);
+    const ConsensusReport one_shard = run_consensus(algo, cfg);
     for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
       cfg.net.engine_threads = threads;
       const ConsensusReport rep = run_consensus(algo, cfg);
-      EXPECT_EQ(serial.to_string(), rep.to_string())
+      EXPECT_EQ(one_shard.to_string(), rep.to_string())
           << to_string(algo) << " threads=" << threads;
     }
   }

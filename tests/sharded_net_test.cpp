@@ -1,10 +1,11 @@
-// Sharded intra-run execution (PR 6 tentpole): the sharded engine —
-// per-shard interners/calendars/outboxes, canonical payload merge at the
-// round barrier, uniform-delay group delivery — must be BYTE-IDENTICAL to
-// the serial reference engine: same decisions, decision rounds, transport
-// metrics, per-round metric series, and trace event streams, at every
-// shard and thread count, under every schedule shape (uniform fast path,
-// non-uniform fallback, crashing senders, adversarial overrides).
+// Sharded intra-run execution: LockstepNet — per-shard interners,
+// calendars and outboxes, canonical payload merge at the round barrier,
+// uniform-delay group delivery — must be BYTE-IDENTICAL to the naive
+// per-link oracle (serial_lockstep_oracle.hpp): same decisions, decision
+// rounds, transport metrics, per-round metric series, and trace event
+// streams, at its one-shard default and at every other shard and thread
+// count, under every schedule shape (uniform fast path, non-uniform
+// fallback, crashing senders, adversarial overrides).
 #include "net/lockstep.hpp"
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "common/rng.hpp"
 #include "env/generate.hpp"
 #include "net/cohort.hpp"
+#include "serial_lockstep_oracle.hpp"
 #include "sim/experiment.hpp"
 
 namespace anon {
@@ -53,7 +55,8 @@ static_assert(
     "CohortNet must accept an lvalue DelayModel");
 
 // ---------------------------------------------------------------------------
-// Harness: run one configuration serially and sharded, compare everything.
+// Harness: run one configuration on the oracle and on LockstepNet at
+// several shard/thread counts, compare everything.
 
 struct Observed {
   Round rounds = 0;
@@ -108,22 +111,22 @@ void expect_traces_equal(const Trace& a, const Trace& b,
   }
 }
 
-void expect_equal(const Observed& serial, const Observed& sharded,
+void expect_equal(const Observed& ref, const Observed& got,
                   const std::string& what) {
-  EXPECT_EQ(serial.rounds, sharded.rounds) << what;
-  EXPECT_EQ(serial.stopped, sharded.stopped) << what;
-  EXPECT_EQ(serial.sends, sharded.sends) << what;
-  EXPECT_EQ(serial.bytes, sharded.bytes) << what;
-  EXPECT_EQ(serial.deliveries, sharded.deliveries) << what;
-  EXPECT_EQ(serial.fault_drops, sharded.fault_drops) << what;
-  EXPECT_EQ(serial.fault_dups, sharded.fault_dups) << what;
-  ASSERT_EQ(serial.decisions.size(), sharded.decisions.size()) << what;
-  for (std::size_t p = 0; p < serial.decisions.size(); ++p) {
-    EXPECT_EQ(serial.decisions[p], sharded.decisions[p]) << what << " p=" << p;
-    EXPECT_EQ(serial.decision_rounds[p], sharded.decision_rounds[p])
+  EXPECT_EQ(ref.rounds, got.rounds) << what;
+  EXPECT_EQ(ref.stopped, got.stopped) << what;
+  EXPECT_EQ(ref.sends, got.sends) << what;
+  EXPECT_EQ(ref.bytes, got.bytes) << what;
+  EXPECT_EQ(ref.deliveries, got.deliveries) << what;
+  EXPECT_EQ(ref.fault_drops, got.fault_drops) << what;
+  EXPECT_EQ(ref.fault_dups, got.fault_dups) << what;
+  ASSERT_EQ(ref.decisions.size(), got.decisions.size()) << what;
+  for (std::size_t p = 0; p < ref.decisions.size(); ++p) {
+    EXPECT_EQ(ref.decisions[p], got.decisions[p]) << what << " p=" << p;
+    EXPECT_EQ(ref.decision_rounds[p], got.decision_rounds[p])
         << what << " p=" << p;
   }
-  expect_traces_equal(serial.trace, sharded.trace, what);
+  expect_traces_equal(ref.trace, got.trace, what);
 }
 
 struct Scenario {
@@ -143,6 +146,14 @@ std::vector<std::unique_ptr<Automaton<EsMessage>>> es_autos(
   return autos;
 }
 
+std::vector<std::unique_ptr<Automaton<EssMessage>>> ess_autos(
+    const std::vector<Value>& initial, HistoryArena* arena) {
+  std::vector<std::unique_ptr<Automaton<EssMessage>>> autos;
+  for (const Value& v : initial)
+    autos.push_back(std::make_unique<EssConsensus>(v, arena));
+  return autos;
+}
+
 Observed run_once(const Scenario& sc, const DelayModel& delays,
                   std::size_t engine_threads, std::size_t engine_shards,
                   std::size_t* shards_ran = nullptr) {
@@ -155,42 +166,55 @@ Observed run_once(const Scenario& sc, const DelayModel& delays,
     return observe(net, net.run_until_all_correct_decided());
   }
   HistoryArena arena;
-  std::vector<std::unique_ptr<Automaton<EssMessage>>> autos;
-  for (const Value& v : sc.initial)
-    autos.push_back(std::make_unique<EssConsensus>(v, &arena));
-  LockstepNet<EssMessage> net(std::move(autos), delays, sc.crashes, opt);
+  LockstepNet<EssMessage> net(ess_autos(sc.initial, &arena), delays,
+                              sc.crashes, opt);
   if (shards_ran) *shards_ran = net.engine_shards();
   return observe(net, net.run_until_all_correct_decided());
 }
 
-// Serial reference vs engine_threads ∈ {2, 8} (and the decoupled
-// single-threaded 8-shard engine) on the env-generated schedule.
+Observed run_oracle(const Scenario& sc, const DelayModel& delays) {
+  if (sc.algo == ConsensusAlgo::kEs) {
+    SerialLockstepOracle<EsMessage> net(es_autos(sc.initial), delays,
+                                        sc.crashes, sc.net);
+    return observe(net, net.run_until_all_correct_decided());
+  }
+  HistoryArena arena;
+  SerialLockstepOracle<EssMessage> net(ess_autos(sc.initial, &arena), delays,
+                                       sc.crashes, sc.net);
+  return observe(net, net.run_until_all_correct_decided());
+}
+
+// The serial oracle vs LockstepNet at its defaults (engine_threads = 1,
+// engine_shards = 0: one shard), at engine_threads ∈ {2, 8}, and
+// single-threaded at 8 shards, on the env-generated schedule.
 void check_thread_invariance(const Scenario& sc0, const std::string& what) {
   Scenario sc = sc0;
   const EnvDelayModel delays(sc.env, sc.crashes);
   const FaultPlan plan(sc.faults, sc.net.seed, sc.env.n, &delays);
   if (plan.active()) sc.net.faults = &plan;
+  const Observed oracle = run_oracle(sc, delays);
   std::size_t shards = 0;
-  const Observed serial = run_once(sc, delays, 1, 0, &shards);
-  ASSERT_EQ(shards, 1u) << what << ": engine_threads=1 must stay serial";
+  const Observed defaults = run_once(sc, delays, 1, 0, &shards);
+  ASSERT_EQ(shards, 1u) << what << ": engine_threads=1 runs one shard";
+  expect_equal(oracle, defaults, what + " defaults");
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
     const Observed sharded = run_once(sc, delays, threads, 0, &shards);
-    EXPECT_GT(shards, 1u) << what;
-    expect_equal(serial, sharded,
+    EXPECT_EQ(shards, std::min(threads, sc.env.n)) << what;
+    expect_equal(oracle, sharded,
                  what + " threads=" + std::to_string(threads));
   }
   const Observed aggregated = run_once(sc, delays, 1, 8, &shards);
   EXPECT_EQ(shards, std::min<std::size_t>(8, sc.env.n)) << what;
-  expect_equal(serial, aggregated, what + " threads=1 shards=8");
+  expect_equal(oracle, aggregated, what + " threads=1 shards=8");
 }
 
 // ---------------------------------------------------------------------------
 
 TEST(ShardedEquivalence, RandomizedConfigsMatchSerialAtEveryThreadCount) {
   // Randomized (seed, env kind, crash plan, trace mode) configurations
-  // across both algorithms; every one must be byte-identical — including
-  // full per-link delivery traces on half the configs — at engine_threads
-  // ∈ {1, 2, 8} and at engine_shards = 8 on one thread.
+  // across both algorithms; every one must match the oracle byte for
+  // byte — including full per-link delivery traces on half the configs —
+  // at engine_threads ∈ {1, 2, 8} and at engine_shards = 8 on one thread.
   std::size_t checked = 0;
   for (std::uint64_t cfg = 0; cfg < 24; ++cfg) {
     Rng rng(0x5eed + cfg * 131);
@@ -273,16 +297,18 @@ TEST(ShardedEquivalence, AdversarialOverrideMatchesSerial) {
   opt.max_rounds = 60;
   opt.record_deliveries = true;
 
-  LockstepNet<EsMessage> serial(es_autos(initial), model, no_crashes, opt);
-  const Observed a = observe(serial, serial.run_rounds(50));
-
-  LockstepOptions sharded_opt = opt;
-  sharded_opt.engine_threads = 8;
-  LockstepNet<EsMessage> sharded(es_autos(initial), model, no_crashes,
-                                 sharded_opt);
-  const Observed b = observe(sharded, sharded.run_rounds(50));
-  expect_equal(a, b, "bivalent override");
-  // The adversary keeps the run bivalent: nobody decided in either mode.
+  SerialLockstepOracle<EsMessage> oracle(es_autos(initial), model, no_crashes,
+                                         opt);
+  const Observed a = observe(oracle, oracle.run_rounds(50));
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    LockstepOptions engine_opt = opt;
+    engine_opt.engine_threads = threads;
+    LockstepNet<EsMessage> net(es_autos(initial), model, no_crashes,
+                               engine_opt);
+    const Observed b = observe(net, net.run_rounds(50));
+    expect_equal(a, b, "bivalent override threads=" + std::to_string(threads));
+  }
+  // The adversary keeps the run bivalent: nobody decided.
   for (ProcId p = 0; p < n; ++p) EXPECT_FALSE(a.decisions[p].has_value());
 }
 
@@ -300,16 +326,17 @@ TEST(ShardedEquivalence, StopAfterDecideHaltsIdentically) {
   const EnvDelayModel delays(sc.env, sc.crashes);
   // kStopAfterDecide can starve laggards forever, so run to a fixed
   // horizon instead of to all-decided.
-  LockstepOptions serial_opt = sc.net;
-  LockstepNet<EsMessage> serial(es_autos(sc.initial), delays, sc.crashes,
-                                serial_opt);
-  const Observed a = observe(serial, serial.run_rounds(60));
-  LockstepOptions sharded_opt = sc.net;
-  sharded_opt.engine_threads = 4;
-  LockstepNet<EsMessage> sharded(es_autos(sc.initial), delays, sc.crashes,
-                                 sharded_opt);
-  const Observed b = observe(sharded, sharded.run_rounds(60));
-  expect_equal(a, b, "stop-after-decide");
+  SerialLockstepOracle<EsMessage> oracle(es_autos(sc.initial), delays,
+                                         sc.crashes, sc.net);
+  const Observed a = observe(oracle, oracle.run_rounds(60));
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    LockstepOptions engine_opt = sc.net;
+    engine_opt.engine_threads = threads;
+    LockstepNet<EsMessage> net(es_autos(sc.initial), delays, sc.crashes,
+                               engine_opt);
+    const Observed b = observe(net, net.run_rounds(60));
+    expect_equal(a, b, "stop-after-decide threads=" + std::to_string(threads));
+  }
 }
 
 TEST(ShardedEquivalence, PerRoundMetricSeriesMatchesSerial) {
@@ -327,27 +354,29 @@ TEST(ShardedEquivalence, PerRoundMetricSeriesMatchesSerial) {
     sc.net.seed = seed;
     sc.net.record_trace = false;
     const EnvDelayModel delays(sc.env, sc.crashes);
-    LockstepOptions serial_opt = sc.net;
-    LockstepNet<EsMessage> serial(es_autos(sc.initial), delays, sc.crashes,
-                                  serial_opt);
-    LockstepOptions sharded_opt = sc.net;
-    sharded_opt.engine_threads = 4;
-    LockstepNet<EsMessage> sharded(es_autos(sc.initial), delays, sc.crashes,
-                                   sharded_opt);
-    const auto sa = collect_round_series(serial, 30);
-    const auto sb = collect_round_series(sharded, 30);
-    ASSERT_EQ(sa.size(), sb.size());
-    for (std::size_t i = 0; i < sa.size(); ++i)
-      EXPECT_EQ(sa[i], sb[i]) << "seed " << seed << " step " << i << ": "
-                              << sa[i].to_string() << " vs "
-                              << sb[i].to_string();
+    SerialLockstepOracle<EsMessage> oracle(es_autos(sc.initial), delays,
+                                           sc.crashes, sc.net);
+    const auto sa = collect_round_series(oracle, 30);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      LockstepOptions engine_opt = sc.net;
+      engine_opt.engine_threads = threads;
+      LockstepNet<EsMessage> net(es_autos(sc.initial), delays, sc.crashes,
+                                 engine_opt);
+      const auto sb = collect_round_series(net, 30);
+      ASSERT_EQ(sa.size(), sb.size());
+      for (std::size_t i = 0; i < sa.size(); ++i)
+        EXPECT_EQ(sa[i], sb[i])
+            << "seed " << seed << " threads " << threads << " step " << i
+            << ": " << sa[i].to_string() << " vs " << sb[i].to_string();
+    }
   }
 }
 
 TEST(ShardedEquivalence, ConsensusReportsMatchThroughTheRunnerSurface) {
   // End-to-end through run_consensus: the full report (decisions,
   // agreement/validity verdicts, metrics, env certification) and the
-  // returned trace must be identical at every engine_threads value.
+  // returned trace must be identical at every engine_threads value (the
+  // oracle checks above pin the engine itself).
   for (const ConsensusAlgo algo : {ConsensusAlgo::kEs, ConsensusAlgo::kEss}) {
     ConsensusConfig cfg;
     cfg.env.kind = algo == ConsensusAlgo::kEs ? EnvKind::kES : EnvKind::kESS;
@@ -361,19 +390,20 @@ TEST(ShardedEquivalence, ConsensusReportsMatchThroughTheRunnerSurface) {
     cfg.validate_env = true;
 
     cfg.net.engine_threads = 1;
-    Trace serial_trace;
-    const ConsensusReport serial = run_consensus(algo, cfg, &serial_trace);
+    Trace one_shard_trace;
+    const ConsensusReport one_shard =
+        run_consensus(algo, cfg, &one_shard_trace);
     for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
       cfg.net.engine_threads = threads;
       Trace trace;
       const ConsensusReport rep = run_consensus(algo, cfg, &trace);
-      EXPECT_EQ(serial.to_string(), rep.to_string())
+      EXPECT_EQ(one_shard.to_string(), rep.to_string())
           << to_string(algo) << " threads=" << threads;
-      EXPECT_EQ(serial.rounds_executed, rep.rounds_executed);
-      EXPECT_EQ(serial.last_decision_round, rep.last_decision_round);
-      EXPECT_EQ(serial.deliveries, rep.deliveries);
-      EXPECT_EQ(serial.bytes_sent, rep.bytes_sent);
-      expect_traces_equal(serial_trace, trace,
+      EXPECT_EQ(one_shard.rounds_executed, rep.rounds_executed);
+      EXPECT_EQ(one_shard.last_decision_round, rep.last_decision_round);
+      EXPECT_EQ(one_shard.deliveries, rep.deliveries);
+      EXPECT_EQ(one_shard.bytes_sent, rep.bytes_sent);
+      expect_traces_equal(one_shard_trace, trace,
                           std::string(to_string(algo)) + " threads=" +
                               std::to_string(threads));
     }
@@ -383,8 +413,9 @@ TEST(ShardedEquivalence, ConsensusReportsMatchThroughTheRunnerSurface) {
 // ---------------------------------------------------------------------------
 // Fault injection (PR 7 tentpole): seeded loss/duplication/reorder/omission/
 // churn plans are a pure function of (fault seed, round, sender, receiver),
-// so the sharded engine must stay byte-identical to serial under any plan —
-// including full per-link delivery traces and the fault counters themselves.
+// so the engine must stay byte-identical to the oracle under any plan at
+// every shard count — including full per-link delivery traces and the fault
+// counters themselves.
 
 TEST(FaultedEquivalence, RandomizedFaultPlansMatchSerialAtEveryThreadCount) {
   std::size_t faulted = 0;
@@ -590,11 +621,10 @@ TEST(ShardedEngine, ShardCountClampsToProcessCount) {
   sc.net.max_rounds = 200;
   const EnvDelayModel delays(sc.env, sc.crashes);
   std::size_t shards = 0;
-  const Observed serial = run_once(sc, delays, 1, 0, &shards);
-  ASSERT_EQ(shards, 1u);
   const Observed sharded = run_once(sc, delays, 16, 16, &shards);
   EXPECT_EQ(shards, 3u);  // min(16, n)
-  expect_equal(serial, sharded, "n=3 with 16 requested shards");
+  expect_equal(run_oracle(sc, delays), sharded,
+               "n=3 with 16 requested shards");
 }
 
 }  // namespace
