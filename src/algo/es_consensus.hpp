@@ -33,11 +33,6 @@ namespace anon {
 
 using EsMessage = ValueSet;
 
-template <>
-struct MessageSizeOf<EsMessage> {
-  static std::size_t size(const EsMessage& m) { return 16 + 8 * m.size(); }
-};
-
 class EsConsensus final : public Automaton<EsMessage> {
  public:
   explicit EsConsensus(Value initial);

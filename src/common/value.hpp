@@ -14,6 +14,7 @@
 #include <string>
 
 #include "common/flat_set.hpp"
+#include "common/message_size.hpp"
 
 namespace anon {
 
@@ -68,6 +69,12 @@ class Value {
 // initial values); a sorted small-buffer flat set makes every per-round
 // union/intersection a short merge pass with no node allocations.
 using ValueSet = FlatSet<Value, 4>;
+
+// A value set on the wire: a 16-byte header plus 8 bytes per value.
+template <>
+struct MessageSizeOf<ValueSet> {
+  static std::size_t size(const ValueSet& m) { return 16 + 8 * m.size(); }
+};
 
 // Union of two value sets (merge-based, see FlatSet::union_with).
 inline ValueSet set_union(const ValueSet& a, const ValueSet& b) {

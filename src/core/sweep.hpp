@@ -12,8 +12,10 @@
 // run, or a nested sweep) runs inline — no oversubscription.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/worker_pool.hpp"
@@ -28,6 +30,15 @@ struct SweepOptions {
 // Resolved worker count: `requested`, or the hardware concurrency when
 // `requested` is 0 (at least 1 either way).
 std::size_t resolve_sweep_threads(std::size_t requested);
+
+// A round engine's {pool participants, shard count}: `engine_threads`
+// resolved as above, and `engine_shards` (0 = one shard per participant)
+// clamped to [1, n].
+inline std::pair<std::size_t, std::size_t> resolve_engine_shards(
+    std::size_t engine_threads, std::size_t engine_shards, std::size_t n) {
+  const std::size_t p = resolve_sweep_threads(engine_threads);
+  return {p, std::clamp<std::size_t>(engine_shards ? engine_shards : p, 1, n)};
+}
 
 // Runs fn(i) for every i in [0, count) and returns the results indexed by
 // i.  `fn` must be thread-safe across distinct indices; results must be

@@ -58,6 +58,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -112,12 +113,8 @@ class MsEmulationCohort {
     ANON_CHECK(n_ > 0);
     if (opt_.skew.empty()) opt_.skew.assign(n_, 1);
     ANON_CHECK(opt_.skew.size() == n_);
-    const std::size_t threads = copt.engine_threads == 0
-                                    ? resolve_sweep_threads(0)
-                                    : copt.engine_threads;
-    participants_ = std::max<std::size_t>(threads, 1);
-    shard_count_ = copt.engine_shards == 0 ? participants_ : copt.engine_shards;
-    shard_count_ = std::max<std::size_t>(shard_count_, 1);
+    std::tie(participants_, shard_count_) =
+        resolve_engine_shards(copt.engine_threads, copt.engine_shards, n_);
     constexpr std::uint32_t kUnassigned = ~std::uint32_t{0};
     class_of_.assign(n_, kUnassigned);
     for (InitGroup& g : groups) {

@@ -29,18 +29,18 @@
 //
 // Split / merge rules:
 //
-//  * Split (delivery asymmetry): in rounds where `DelayModel::uniform_delay`
-//    opts out, per-link delays can hand class members different batch sets.
-//    Deliveries are scheduled per link; at delivery time each cohort is
-//    partitioned by the *set* of (payload, msg-round) pairs its members
-//    received, and every class beyond the first gets a deep copy
+//  * Split (delivery asymmetry): in rounds with no uniform delay, links
+//    are routed one by one through the link layer shared with LockstepNet
+//    (net/link.hpp: per-link delays, crash audiences, fault fates), which
+//    can hand class members different batch sets.  At delivery time each
+//    cohort is partitioned by the *set* of (payload, msg-round) pairs its
+//    members received, and every class beyond the first gets a deep copy
 //    (`GirafProcess::clone`) of the representative.  Worst case (fully
 //    adversarial pre-GST timing) this degrades gracefully to n singleton
 //    cohorts — the expanded simulation, at the expanded price.
 //  * Split (crash): a member crashing at round k shares its class's final
-//    compute, but its partial final broadcast is per-link (the audience is
-//    per receiver) and it takes no further steps: its decision state is
-//    finalized and it leaves the member list.
+//    compute, routes its final broadcast per link and takes no further
+//    steps: its decision state is finalized and it leaves the member list.
 //  * Merge: after each delivery phase, cohorts are bucketed by state digest
 //    (`Automaton::state_digest` ⊕ round ⊕ inbox content digest) and
 //    buckets are confirmed with exact `state_equals`/`same_content`
@@ -56,13 +56,12 @@
 // intern per class), the *delivery fan-out* (each class applies the
 // round's broadcasts), the merge pass's digest loop and the reindex loops
 // run shard-parallel; a serial barrier after the compute wave
-// canonicalizes freshly interned payloads by content digest across shards
-// — one object per content network-wide, so the split signatures'
-// pointer-identity-is-content-identity invariant holds at any S — and
-// everything order-sensitive (calendar scheduling, transport counters,
-// crash bookkeeping, split and merge structure) replays serially in class
-// order.  Reports are byte-identical at every thread/shard count
-// (tests/cohort_net_test.cpp).
+// canonicalizes the payloads across shards — one object per content
+// network-wide, so the split signatures' pointer-identity-is-content-
+// identity invariant holds at any S — and everything order-sensitive
+// (calendar scheduling, transport counters, crash bookkeeping, split and
+// merge structure) replays serially in class order.  Reports are
+// byte-identical at every thread/shard count (tests/cohort_net_test.cpp).
 //
 // Per-round scratch that is map-shaped (receiver partitions and split maps
 // of asymmetric rounds) lives in a `RoundArena` (core/arena.hpp): bump
@@ -78,7 +77,9 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -90,6 +91,7 @@
 #include "core/sweep.hpp"
 #include "core/worker_pool.hpp"
 #include "giraf/process.hpp"
+#include "net/link.hpp"
 #include "net/lockstep.hpp"
 #include "net/schedule.hpp"
 
@@ -112,9 +114,6 @@ struct CohortOptions {
   bool relay_partial_broadcast = true;
   Round relay_extra_delay = 2;
   HaltPolicy halt_policy = HaltPolicy::kContinueForever;
-  // Merging is semantics-preserving (exact-equality checked); the knob
-  // exists for the split/merge tests and for A/B-ing its cost.
-  bool merge_cohorts = true;
   // Optional fault plan (env/faults.hpp), aliased for the run's lifetime.
   // An active plan forces per-link scheduling every round (fates vary by
   // link), so fault asymmetries split cohorts through the existing
@@ -164,16 +163,12 @@ class CohortNet {
   // time; construct the model in an outer scope instead.
   CohortNet(std::vector<InitGroup> groups, const DelayModel& delays,
             CrashPlan crashes, CohortOptions opt = {})
-      : delays_(delays), crashes_(std::move(crashes)), opt_(opt) {
-    ANON_CHECK(!groups.empty());
-    for (const InitGroup& g : groups) n_ += g.members.size();
+      : n_(member_count(groups)),
+        link_(delays, std::move(crashes), n_, opt),
+        opt_(opt) {
     ANON_CHECK(n_ > 0);
-    const std::size_t threads = opt_.engine_threads == 0
-                                    ? resolve_sweep_threads(0)
-                                    : opt_.engine_threads;
-    participants_ = std::max<std::size_t>(threads, 1);
-    shard_count_ = std::clamp<std::size_t>(
-        opt_.engine_shards == 0 ? participants_ : opt_.engine_shards, 1, n_);
+    std::tie(participants_, shard_count_) =
+        resolve_engine_shards(opt_.engine_threads, opt_.engine_shards, n_);
     interners_.resize(shard_count_);
     cohort_of_.assign(n_, kNoCohort);
     decision_round_.assign(n_, kNoRound);
@@ -188,7 +183,7 @@ class CohortNet {
         ANON_CHECK_MSG(p < n_ && cohort_of_[p] == kNoCohort,
                        "InitGroup members must partition [0, n)");
         cohort_of_[p] = 0;  // provisional; reindex() assigns real indices
-        if (!crashes_.ever_crashes(p)) ++c->correct_members;
+        if (!link_.crashes().ever_crashes(p)) ++c->correct_members;
       }
       cohorts_.push_back(std::move(c));
     }
@@ -197,13 +192,13 @@ class CohortNet {
     // Crash events, in firing order (ties broken by process id for
     // deterministic death bookkeeping).
     for (ProcId p = 0; p < n_; ++p)
-      if (Round c = crashes_.crash_round(p); c != kNeverCrashes)
+      if (Round c = link_.crashes().crash_round(p); c != kNeverCrashes)
         crash_events_.emplace_back(c, p);
     std::sort(crash_events_.begin(), crash_events_.end());
     // Metric fast path: with no crashes and no halt policy nobody ever
     // leaves the alive∩non-halted set, so broadcast deliveries are a
     // closed-form count and entries need no sender snapshots.
-    needs_snapshots_ = crashes_.crash_count() > 0 ||
+    needs_snapshots_ = link_.crashes().crash_count() > 0 ||
                        opt_.halt_policy == HaltPolicy::kStopAfterDecide;
   }
 
@@ -219,7 +214,7 @@ class CohortNet {
   // min(shards, classes) of them).
   std::size_t engine_shards() const { return shard_count_; }
 
-  bool is_correct(ProcId p) const { return !crashes_.ever_crashes(p); }
+  bool is_correct(ProcId p) const { return !link_.crashes().ever_crashes(p); }
 
   std::optional<Value> decision(ProcId p) const {
     ANON_CHECK(p < n_);
@@ -236,14 +231,12 @@ class CohortNet {
     return true;
   }
 
-  std::uint64_t deliveries() const { return deliveries_; }
-  std::uint64_t sends() const { return sends_; }
-  std::uint64_t bytes_sent() const { return bytes_sent_; }
-
-  // Fault-plan metrics, matching LockstepNet's accounting exactly: drops
-  // and duplicates per message on the link; `sends` counts attempts.
-  std::uint64_t fault_drops() const { return fault_drops_; }
-  std::uint64_t fault_dups() const { return fault_dups_; }
+  // Transport counters, accounted exactly as LockstepNet's (net/link.hpp).
+  std::uint64_t deliveries() const { return ctr_.deliveries; }
+  std::uint64_t sends() const { return ctr_.sends; }
+  std::uint64_t bytes_sent() const { return ctr_.bytes; }
+  std::uint64_t fault_drops() const { return ctr_.drops; }
+  std::uint64_t fault_dups() const { return ctr_.dups; }
 
   std::size_t inbox_overflow_high_water() const {
     std::size_t hw = 0;
@@ -302,7 +295,7 @@ class CohortNet {
     split->rep = c.rep->clone();
     ++stats_.clones;
     split->members = {p};
-    split->correct_members = crashes_.ever_crashes(p) ? 0u : 1u;
+    split->correct_members = link_.crashes().ever_crashes(p) ? 0u : 1u;
     split->decided_noted = c.decided_noted;
     c.members.erase(std::find(c.members.begin(), c.members.end(), p));
     c.correct_members -= split->correct_members;
@@ -318,7 +311,7 @@ class CohortNet {
     if (round_ == 0) bootstrap();
     while (round_ < opt_.max_rounds) {
       deliver_due(round_);
-      if (opt_.merge_cohorts) merge_converged();
+      merge_converged();
       if (stop(*this)) return {round_, true};
       advance_round();
       note_decisions();
@@ -371,16 +364,11 @@ class CohortNet {
     bool stepped = false;  // false = class was halted before this wave
   };
 
-  struct CanonEntry {
-    std::uint64_t digest = 0;
-    std::uint32_t seq = 0;  // discovery order (shard order, in-shard order)
-    SharedBatch<M> batch;
-  };
-
-  struct RemapEntry {
-    const MessageBatch<M>* from = nullptr;
-    SharedBatch<M> to;
-  };
+  static std::size_t member_count(const std::vector<InitGroup>& groups) {
+    std::size_t n = 0;
+    for (const InitGroup& g : groups) n += g.members.size();
+    return n;
+  }
 
   void bootstrap() {
     decision_round_.assign(n_, kNoRound);
@@ -423,12 +411,9 @@ class CohortNet {
       crashing[cohort_of_[p]].push_back(p);
     }
 
-    // An active fault plan makes every round link-asymmetric; forcing the
-    // per-link branch routes faults through the split machinery.
-    const std::optional<Round> ud =
-        (opt_.faults != nullptr && opt_.faults->active())
-            ? std::nullopt
-            : delays_.uniform_delay(k);
+    // No uniform delay (an active fault plan included) routes every link
+    // of the round through the split machinery.
+    const std::optional<Round> ud = link_.uniform_delay(k);
 
     // Compute wave: end-of-round + intern, sharded over classes.  Mutates
     // only per-class state and the shard's own interner; everything
@@ -445,29 +430,35 @@ class CohortNet {
         },
         participants_);
     // One shard's interner is already unique by content: nothing to remap.
-    if (shard_ranges_.size() > 1) canonicalize_wave_payloads();
+    if (shard_ranges_.size() > 1) {
+      canon_.rebuild(shard_ranges_.size(),
+                     [this](std::size_t s) -> const auto& {
+                       return interners_[s].fresh();
+                     });
+      if (!canon_.empty())
+        for (WaveOut& w : wave_out_)
+          if (w.stepped) canon_.apply(w.payload);
+    }
 
     // Schedule wave: serial, in class order — the same fold over counters,
     // calendar entries and crash bookkeeping at every shard count.
     bool structural = false;
     for (std::uint32_t ci = 0; ci < count; ++ci) {
-      Cohort& c = *cohorts_[ci];
       auto itc = crashing.find(ci);
-      const std::vector<ProcId>* dying =
-          itc == crashing.end() ? nullptr : &itc->second;
-      if (!wave_out_[ci].stepped) {
+      const std::span<const ProcId> dying =
+          itc == crashing.end() ? std::span<const ProcId>{} : itc->second;
+      if (wave_out_[ci].stepped) {
+        schedule_eor(ci, k, ud, dying);
+      } else {
         // A halted process never executes an end-of-round — not even its
         // crash-round one (no final broadcast); its crash only removes it
         // from the alive set.
-        if (dying != nullptr) {
-          for (ProcId p : *dying) finalize_death(c, p, k);
-          remove_dead_members(c);
-          structural = true;
-        }
-        continue;
+        for (ProcId p : dying) finalize_death(*cohorts_[ci], p, k);
       }
-      schedule_eor(ci, k, ud, dying);
-      if (dying != nullptr) structural = true;
+      if (!dying.empty()) {
+        remove_dead_members(*cohorts_[ci]);
+        structural = true;
+      }
     }
     if (structural) purge_sort_reindex();
   }
@@ -494,161 +485,57 @@ class CohortNet {
     }
   }
 
-  // Cross-shard payload canonicalization, first discovery wins: content
-  // interned by several shards this round collapses to one object
-  // network-wide — the invariant that makes the split signatures' pointer
-  // comparisons content comparisons.  The *choice* of winner is
-  // unobservable (every observable is content-based); determinism only
-  // needs it to be a pure function of content and discovery order, which
-  // sorting by (digest, seq) over shard-ordered discovery gives.  All
-  // scratch is capacity-retaining members: zero steady-state allocations.
-  void canonicalize_wave_payloads() {
-    canon_scratch_.clear();
-    std::uint32_t seq = 0;
-    for (std::size_t s = 0; s < shard_ranges_.size(); ++s)
-      for (const SharedBatch<M>& b : interners_[s].fresh())
-        canon_scratch_.push_back({b->digest, seq++, b});
-    if (canon_scratch_.size() <= 1) return;
-    std::sort(canon_scratch_.begin(), canon_scratch_.end(),
-              [](const CanonEntry& a, const CanonEntry& b) {
-                if (a.digest != b.digest) return a.digest < b.digest;
-                return a.seq < b.seq;
-              });
-    remap_scratch_.clear();
-    for (std::size_t i = 0; i < canon_scratch_.size();) {
-      std::size_t j = i + 1;
-      while (j < canon_scratch_.size() &&
-             canon_scratch_[j].digest == canon_scratch_[i].digest)
-        ++j;
-      // Within a digest run, the first entry of each distinct content is
-      // canonical; later content-equal ones are remapped to it.
-      for (std::size_t a = i; j - i >= 2 && a < j; ++a) {
-        if (canon_scratch_[a].batch == nullptr) continue;  // remapped already
-        for (std::size_t b = a + 1; b < j; ++b) {
-          if (canon_scratch_[b].batch == nullptr) continue;
-          if (canon_scratch_[a].batch->msgs == canon_scratch_[b].batch->msgs) {
-            remap_scratch_.push_back(
-                {canon_scratch_[b].batch.get(), canon_scratch_[a].batch});
-            canon_scratch_[b].batch = nullptr;
-          }
-        }
-      }
-      i = j;
-    }
-    if (remap_scratch_.empty()) return;
-    std::sort(remap_scratch_.begin(), remap_scratch_.end(),
-              [](const RemapEntry& a, const RemapEntry& b) {
-                return a.from < b.from;
-              });
-    for (WaveOut& w : wave_out_) {
-      if (!w.stepped) continue;
-      auto it = std::lower_bound(
-          remap_scratch_.begin(), remap_scratch_.end(), w.payload.get(),
-          [](const RemapEntry& e, const MessageBatch<M>* key) {
-            return e.from < key;
-          });
-      if (it != remap_scratch_.end() && it->from == w.payload.get())
-        w.payload = it->to;
-    }
-  }
-
   // The serial half of the end-of-round wave for one class: transport
-  // counters, calendar scheduling and crash bookkeeping, reading the
-  // staged (canonicalized) payload.
+  // counters, calendar scheduling and the dying members' (ascending)
+  // deaths, reading the staged (canonicalized) payload.
   void schedule_eor(std::uint32_t ci, Round k, const std::optional<Round>& ud,
-                    const std::vector<ProcId>* dying) {
+                    std::span<const ProcId> dying) {
     Cohort& c = *cohorts_[ci];
     const SharedBatch<M>& payload = wave_out_[ci].payload;
-    const std::size_t batch_bytes = wave_out_[ci].bytes;
-    const std::uint64_t msg_count = payload->size();
+    LinkSend send{k, 0, ud, false, payload->size(), wave_out_[ci].bytes};
+    const std::size_t survivors = c.members.size() - dying.size();
 
-    const std::size_t dying_count = dying ? dying->size() : 0;
-    const std::size_t survivors = c.members.size() - dying_count;
-
-    if (survivors > 0) {
-      if (ud.has_value()) {
-        // One interned broadcast for the whole class: `survivors` senders,
-        // each reaching the other n-1 processes with the same delay.
-        sends_ += static_cast<std::uint64_t>(survivors) * (n_ - 1) * msg_count;
-        bytes_sent_ +=
-            static_cast<std::uint64_t>(survivors) * (n_ - 1) * batch_bytes;
-        Pending e;
-        e.payload = payload;
-        e.msg_round = k;
-        e.copies = static_cast<std::uint32_t>(survivors);
-        e.broadcast = true;
-        if (needs_snapshots_) {
-          if (dying_count == 0) {
-            e.senders = std::make_shared<const std::vector<ProcId>>(c.members);
-          } else {
-            std::vector<ProcId> alive;
-            alive.reserve(survivors);
-            for (ProcId p : c.members)
-              if (std::find(dying->begin(), dying->end(), p) == dying->end())
-                alive.push_back(p);
-            e.senders =
-                std::make_shared<const std::vector<ProcId>>(std::move(alive));
-          }
+    if (ud.has_value() && survivors > 0) {
+      // One interned broadcast for the whole class: `survivors` senders,
+      // each reaching the other n-1 processes with the same delay.
+      ctr_.count_sends(static_cast<std::uint64_t>(survivors) * (n_ - 1),
+                       send.msgs, send.bytes);
+      Pending e{payload, k, static_cast<std::uint32_t>(survivors), 0, true,
+                nullptr};
+      if (needs_snapshots_) {
+        std::vector<ProcId> alive;
+        if (dying.empty()) {
+          alive = c.members;
+        } else {
+          alive.reserve(survivors);
+          std::set_difference(c.members.begin(), c.members.end(),
+                              dying.begin(), dying.end(),
+                              std::back_inserter(alive));
         }
-        calendar_.schedule(k + *ud, std::move(e));
-      } else {
-        // Asymmetric round: per-link scheduling (the expanded engine's
-        // cost, paid only while the adversary actually differentiates).
-        for (ProcId p : c.members) {
-          if (dying != nullptr &&
-              std::find(dying->begin(), dying->end(), p) != dying->end())
-            continue;
-          for (ProcId q = 0; q < n_; ++q)
-            if (q != p)
-              schedule_link(k, p, q, delays_.delay(k, p, q), payload,
-                            msg_count, batch_bytes);
-        }
+        e.senders =
+            std::make_shared<const std::vector<ProcId>>(std::move(alive));
       }
+      calendar_.schedule(k + *ud, std::move(e));
     }
 
-    // Crashing members: the final broadcast reaches only the chosen
-    // audience (possibly relayed late) — inherently per link.
-    if (dying != nullptr) {
-      for (ProcId p : *dying) {
-        for (ProcId q = 0; q < n_; ++q) {
-          if (q == p) continue;
-          Round d = ud.has_value() ? *ud : delays_.delay(k, p, q);
-          if (!crashes_.in_final_audience(p, q, n_, opt_.seed)) {
-            if (!opt_.relay_partial_broadcast) continue;  // lost forever
-            d = std::max<Round>(d, 1) + opt_.relay_extra_delay;
-          }
-          schedule_link(k, p, q, d, payload, msg_count, batch_bytes);
-        }
-        finalize_death(c, p, k);
+    // Per-link routes, one unicast entry per arriving copy: every member
+    // in an asymmetric round (the expanded engine's cost, paid only while
+    // the adversary differentiates), only the dying members otherwise — a
+    // crashing member's final broadcast reaches its own audience.  A dying
+    // member then takes no further steps: its state is finalized here.
+    const std::span<const ProcId> senders =
+        ud.has_value() ? dying : std::span<const ProcId>(c.members);
+    for (ProcId p : senders) {
+      send.sender = p;
+      send.crashing = std::binary_search(dying.begin(), dying.end(), p);
+      for (ProcId q = 0; q < n_; ++q) {
+        if (q == p) continue;
+        link_.route(send, q, ctr_, [&](Round due) {
+          calendar_.schedule(due, Pending{payload, k, 1, q, false, nullptr});
+        });
       }
-      remove_dead_members(c);
+      if (send.crashing) finalize_death(c, p, k);
     }
-  }
-
-  // One link of a per-link broadcast: transport counters, the fault
-  // plan's fate, and the calendar entries (a duplicate's copy first).
-  void schedule_link(Round k, ProcId p, ProcId q, Round d,
-                     const SharedBatch<M>& payload, std::uint64_t msg_count,
-                     std::size_t batch_bytes) {
-    sends_ += msg_count;
-    bytes_sent_ += batch_bytes;
-    Pending e;
-    e.payload = payload;
-    e.msg_round = k;
-    e.receiver = q;
-    if (opt_.faults != nullptr && opt_.faults->active()) {
-      const LinkFate f = opt_.faults->fate(k, p, q);
-      if (!f.deliver) {
-        fault_drops_ += msg_count;
-        return;
-      }
-      d += f.extra_delay;
-      if (f.duplicate) {
-        fault_dups_ += msg_count;
-        calendar_.schedule(k + d + f.dup_delay, Pending(e));
-      }
-    }
-    calendar_.schedule(k + d, std::move(e));
   }
 
   // Records a dying member's observable state; the class's final compute
@@ -707,7 +594,7 @@ class CohortNet {
           if (cohort_of_[p] != kDead && !cohorts_[cohort_of_[p]]->halted)
             ++in_set;
       }
-      deliveries_ +=
+      ctr_.deliveries +=
           e.payload->size() * (alive_nonhalted * e.copies - in_set);
     }
     // State fan-out, loop-exchanged and sharded over classes: each class
@@ -752,7 +639,7 @@ class CohortNet {
       if (e.broadcast) continue;
       const std::uint32_t ci = cohort_of_[e.receiver];
       if (ci == kDead || cohorts_[ci]->halted) continue;  // dropped silently
-      deliveries_ += e.payload->size();
+      ctr_.deliveries += e.payload->size();
       auto [it, inserted] = by_receiver.try_emplace(
           e.receiver, ArenaAlloc<const Pending*>(&arena_));
       it->second.push_back(&e);
@@ -827,7 +714,7 @@ class CohortNet {
         // (deliveries to them are dropped above).
         split->decided_noted = c.decided_noted;
         for (ProcId p : split->members)
-          if (!crashes_.ever_crashes(p)) ++split->correct_members;
+          if (!link_.crashes().ever_crashes(p)) ++split->correct_members;
         deliver_sig(*split, sig);
         cohorts_.push_back(std::move(split));
       }
@@ -836,7 +723,7 @@ class CohortNet {
       c.members = std::move(anchor_members);
       c.correct_members = 0;
       for (ProcId p : c.members)
-        if (!crashes_.ever_crashes(p)) ++c.correct_members;
+        if (!link_.crashes().ever_crashes(p)) ++c.correct_members;
     }
     if (structural) purge_sort_reindex();
   }
@@ -961,8 +848,7 @@ class CohortNet {
   }
 
   std::size_t n_ = 0;
-  const DelayModel& delays_;
-  CrashPlan crashes_;
+  LinkRules link_;
   CohortOptions opt_;
   Round round_ = 0;
   std::vector<std::unique_ptr<Cohort>> cohorts_;  // sorted by members.front()
@@ -977,11 +863,7 @@ class CohortNet {
   RoundCalendar<Pending> calendar_;
   bool needs_snapshots_ = false;
   CohortStats stats_;
-  std::uint64_t deliveries_ = 0;
-  std::uint64_t sends_ = 0;
-  std::uint64_t bytes_sent_ = 0;
-  std::uint64_t fault_drops_ = 0;
-  std::uint64_t fault_dups_ = 0;
+  LinkCounters ctr_;
 
   // Shard machinery and per-round scratch, all capacity-retaining across
   // rounds.
@@ -991,8 +873,7 @@ class CohortNet {
   std::vector<BatchInterner<M>> interners_;  // one per shard
   Round wave_round_ = 0;  // staged for the this-only-capture wave lambdas
   std::vector<WaveOut> wave_out_;  // per class, current wave
-  std::vector<CanonEntry> canon_scratch_;
-  std::vector<RemapEntry> remap_scratch_;
+  PayloadCanon<M> canon_;
   std::vector<std::uint64_t> merge_digests_;
   std::vector<std::pair<std::uint64_t, std::uint32_t>> merge_scratch_;
   std::vector<std::uint64_t> reduce_scratch_;

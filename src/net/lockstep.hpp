@@ -1,8 +1,11 @@
 // Lock-step round simulator.
 //
-// All alive processes advance rounds together; the adversary acts through
-// the `DelayModel` (per-link, per-round delays; 0 = timely) and the
-// `CrashPlan` (a crashing process's final broadcast reaches only a subset).
+// All alive processes advance rounds together; the adversary acts on each
+// link through the link layer shared with CohortNet (net/link.hpp): the
+// `DelayModel`'s per-link, per-round delays (0 = timely), the `CrashPlan`'s
+// final audiences with their reliable-broadcast relay, and the optional
+// `FaultPlan`.  That header also holds the transport counters and the
+// cross-shard payload canonicalization.
 //
 // One engine round r:
 //   1. deliver every message batch due in round r (into the receivers'
@@ -13,25 +16,18 @@
 //      round is r+1 broadcasts to its final audience only and is dead
 //      afterwards.
 //
-// Reliable broadcast: if `relay_partial_broadcast` is set (default), the
-// non-audience of a crashed sender still receives the final message, late —
-// modelling the relay performed by a uniform reliable broadcast layer.
-// Disabling it yields best-effort broadcast for crashing senders; the
-// paper's safety properties must (and do — see tests) hold either way.
-//
 // One round engine (see DESIGN.md, "Sharded intra-run execution"):
 // processes are partitioned into S contiguous shards, S = min(n,
 // engine_shards, or the participant count when that is 0) — S = 1 at the
 // defaults.  Each round runs two waves over the shared WorkerPool with a
 // barrier between them — the end-of-round wave (compute + broadcast,
 // per-shard interner/calendar/outboxes/trace buffers) and the delivery wave
-// (per-shard calendars) — plus a serial merge at the barrier that
-// canonicalizes freshly interned payloads by content digest across shards.
-// With one shard or one participant the pool runs both waves inline on the
-// calling thread.  In uniform-delay rounds a non-crashing sender's
-// broadcast is aggregated into a per-payload *group* delivered by content
-// once per receiver (the n² per-link entries of a naive engine exist only
-// as counter arithmetic), which is what makes adversarial runs at n = 10^5
+// (per-shard calendars) — plus a serial merge at the barrier.  With one
+// shard or one participant the pool runs both waves inline on the calling
+// thread.  In uniform-delay rounds a non-crashing sender's broadcast is
+// aggregated into a per-payload *group* delivered by content once per
+// receiver (the n² per-link entries of a naive engine exist only as
+// counter arithmetic), which is what makes adversarial runs at n = 10^5
 // feasible at all.  Group building is itself sharded: each shard
 // pre-groups its own uniform senders during the wave, the barrier only
 // merges the few per-shard (payload, member-range) summaries, and member
@@ -54,6 +50,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/message_size.hpp"
 #include "core/arena.hpp"
 #include "core/calendar.hpp"
 #include "core/partition.hpp"
@@ -62,6 +59,7 @@
 #include "env/faults.hpp"
 #include "giraf/process.hpp"
 #include "giraf/trace.hpp"
+#include "net/link.hpp"
 #include "net/schedule.hpp"
 
 namespace anon {
@@ -105,22 +103,16 @@ struct RunResult {
   bool stopped = false;  // stop condition met (vs. max_rounds exhausted)
 };
 
-// Approximate wire size of a message, for state-growth experiments (E10).
-// Specialize alongside each message type.
-template <typename M>
-struct MessageSizeOf {
-  static std::size_t size(const M&) { return sizeof(M); }
-};
-
 template <GirafMessage M>
 class LockstepNet {
  public:
   LockstepNet(std::vector<std::unique_ptr<Automaton<M>>> automatons,
               const DelayModel& delays, CrashPlan crashes,
               LockstepOptions opt = {})
-      : delays_(delays), crashes_(std::move(crashes)), opt_(opt) {
-    ANON_CHECK(!automatons.empty());
-    n_ = automatons.size();
+      : n_(automatons.size()),
+        link_(delays, std::move(crashes), n_, opt),
+        opt_(opt) {
+    ANON_CHECK(n_ > 0);
     procs_.reserve(n_);
     for (auto& a : automatons)
       procs_.push_back(std::make_unique<GirafProcess<M>>(std::move(a)));
@@ -128,7 +120,7 @@ class LockstepNet {
     decision_round_.assign(n_, kNoRound);
     crash_round_.assign(n_, kNeverCrashes);
     for (ProcId p = 0; p < n_; ++p) {
-      crash_round_[p] = crashes_.crash_round(p);
+      crash_round_[p] = link_.crashes().crash_round(p);
       if (crash_round_[p] != kNeverCrashes)
         trace_.record_crash(p, crash_round_[p] + 1);
     }
@@ -151,7 +143,7 @@ class LockstepNet {
 
   std::optional<Value> decision(ProcId p) const { return procs_[p]->decision(); }
 
-  bool is_correct(ProcId p) const { return !crashes_.ever_crashes(p); }
+  bool is_correct(ProcId p) const { return !link_.crashes().ever_crashes(p); }
 
   bool all_correct_decided() const {
     for (ProcId p = 0; p < n_; ++p)
@@ -162,16 +154,13 @@ class LockstepNet {
   // First engine round at which process p was decided (kNoRound if never).
   Round decision_round(ProcId p) const { return decision_round_[p]; }
 
-  std::uint64_t deliveries() const { return deliveries_; }
-  std::uint64_t sends() const { return sends_; }
-  std::uint64_t bytes_sent() const { return bytes_sent_; }
-
-  // Messages dropped / duplicated by the fault plan.  `sends` counts every
-  // attempted send (drops included), so sends == deliveries-bound traffic
-  // plus fault_drops on a quiescent network; duplicates are injected by
-  // the network, not the sender, and do not inflate `sends`.
-  std::uint64_t fault_drops() const { return fault_drops_; }
-  std::uint64_t fault_dups() const { return fault_dups_; }
+  // Transport counters (net/link.hpp, LinkCounters): `sends` counts every
+  // attempted send, fault drops included.
+  std::uint64_t deliveries() const { return ctr_.deliveries; }
+  std::uint64_t sends() const { return ctr_.sends; }
+  std::uint64_t bytes_sent() const { return ctr_.bytes; }
+  std::uint64_t fault_drops() const { return ctr_.drops; }
+  std::uint64_t fault_dups() const { return ctr_.dups; }
 
   // Shards the engine actually runs.
   std::size_t engine_shards() const { return shards_.size(); }
@@ -260,13 +249,6 @@ class LockstepNet {
     std::vector<ProcId> members;  // this shard's senders, ascending
   };
 
-  // Shard-local payload -> network-canonical payload, one entry per losing
-  // object, sorted by raw pointer for binary-search reads.
-  struct RemapEntry {
-    const MessageBatch<M>* from = nullptr;
-    SharedBatch<M> to;
-  };
-
   struct Shard {
     ProcId begin = 0, end = 0;  // contiguous process range [begin, end)
     BatchInterner<M> interner;  // per-shard; canonicalized at the barrier
@@ -281,14 +263,10 @@ class LockstepNet {
     // Payload -> pregroup index, populated only past kGroupScanLimit
     // distinct payloads (the linear scan covers the common case for free).
     std::unordered_map<const MessageBatch<M>*, std::size_t> pregroup_index;
-    // Rebuilt each round at the merge barrier; read-only (concurrently)
-    // during the delivery wave.
-    std::vector<RemapEntry> remap;
     std::vector<EndOfRoundEvent> eor_buf;    // spliced in shard order
     std::vector<DeliveryEvent> delivery_buf;  // sorted at the barrier
     std::vector<Exact> due_scratch;          // recycled take_due buffer
-    std::uint64_t sends = 0, bytes = 0, deliveries = 0;
-    std::uint64_t fdrops = 0, fdups = 0;  // folded at the merge barrier
+    LinkCounters ctr;  // folded at the barriers
   };
 
   // Above this many distinct payloads, pointer lookups (pregroups within a
@@ -298,12 +276,9 @@ class LockstepNet {
   static constexpr std::size_t kGroupScanLimit = 32;
 
   void init_shards() {
-    const std::size_t threads = opt_.engine_threads == 0
-                                    ? resolve_sweep_threads(0)
-                                    : opt_.engine_threads;
-    participants_ = std::max<std::size_t>(threads, 1);
-    const std::size_t shards = std::clamp<std::size_t>(
-        opt_.engine_shards == 0 ? participants_ : opt_.engine_shards, 1, n_);
+    const auto [participants, shards] =
+        resolve_engine_shards(opt_.engine_threads, opt_.engine_shards, n_);
+    participants_ = participants;
     shards_.resize(shards);
     std::vector<ShardRange> ranges;
     balanced_ranges(n_, shards, &ranges);
@@ -335,12 +310,7 @@ class LockstepNet {
   // ---- end-of-round wave ---------------------------------------------------
 
   void eor_wave(Round next) {
-    // Fault fates vary per link, so an active plan forces the per-link
-    // path — the uniform group aggregation assumes every link agrees.
-    const std::optional<Round> ud =
-        (opt_.faults != nullptr && opt_.faults->active())
-            ? std::nullopt
-            : delays_.uniform_delay(next);
+    const std::optional<Round> ud = link_.uniform_delay(next);
     // Wave arguments are staged in members so the job lambda captures only
     // `this`: it stays within std::function's small-buffer optimization
     // and the dispatch itself allocates nothing.
@@ -390,15 +360,15 @@ class LockstepNet {
     std::size_t batch_bytes = 0;
     for (const M& m : out.batch) batch_bytes += MessageSizeOf<M>::size(m);
     const SharedBatch<M> payload = sh.interner.intern(out.batch);
-    const bool crashing = crash_round_[p] == k;
+    const LinkSend send{k, p, ud, crash_round_[p] == k, payload->size(),
+                        batch_bytes};
 
-    if (ud.has_value() && !crashing && !per_link_trace) {
+    if (ud.has_value() && !send.crashing && !per_link_trace) {
       // Uniform fast path: every link has delay *ud, so the n-1 per-link
       // calendar entries collapse to counter arithmetic plus one pregroup
       // membership (merged across shards at the barrier).  Per-link trace
       // mode opts out — it needs the individual link events.
-      sh.sends += payload->size() * (n_ - 1);
-      sh.bytes += static_cast<std::uint64_t>(batch_bytes) * (n_ - 1);
+      sh.ctr.count_sends(n_ - 1, send.msgs, send.bytes);
       sh.pregroups[find_or_add_pregroup(sh, payload)].members.push_back(p);
       return;
     }
@@ -407,42 +377,16 @@ class LockstepNet {
     // A link into the sender's own shard goes straight into that shard's
     // calendar, which this shard owns in both waves; only cross-shard
     // links park in an outbox until the delivery wave.
-    const bool faulted = opt_.faults != nullptr && opt_.faults->active();
     for (std::size_t t = 0; t < shards_.size(); ++t) {
       const bool own = t == s;
-      auto post = [&](Round due, ProcId q) {
-        if (own)
-          sh.calendar.schedule(due, Exact{q, p, k, payload});
-        else
-          sh.outbox[t].push_back({due, Exact{q, p, k, payload}});
-      };
       for (ProcId q = shards_[t].begin; q < shards_[t].end; ++q) {
         if (q == p) continue;
-        Round d = delays_.delay(k, p, q);
-        if (crashing && !crashes_.in_final_audience(p, q, n_, opt_.seed)) {
-          if (!opt_.relay_partial_broadcast) continue;  // lost forever
-          d = std::max<Round>(d, 1) + opt_.relay_extra_delay;
-        }
-        sh.sends += payload->size();
-        sh.bytes += batch_bytes;
-        if (faulted) {
-          const LinkFate f = opt_.faults->fate(k, p, q);
-          if (!f.deliver) {
-            sh.fdrops += payload->size();
-            continue;
-          }
-          d += f.extra_delay;
-          post(k + d, q);
-          if (f.duplicate) {
-            // dup_delay >= 1: the copy lands in a later delivery round, so
-            // it is observable (same-round copies dedup away in the set
-            // view) and the per-round trace key stays unique.
-            sh.fdups += payload->size();
-            post(k + d + f.dup_delay, q);
-          }
-          continue;
-        }
-        post(k + d, q);
+        link_.route(send, q, sh.ctr, [&](Round due) {
+          if (own)
+            sh.calendar.schedule(due, Exact{q, p, k, payload});
+          else
+            sh.outbox[t].push_back({due, Exact{q, p, k, payload}});
+        });
       }
     }
   }
@@ -506,70 +450,6 @@ class LockstepNet {
     return wave_groups_.size() - 1;
   }
 
-  static void remap_payload(const Shard& owner, SharedBatch<M>& payload) {
-    if (owner.remap.empty()) return;
-    auto it = std::lower_bound(
-        owner.remap.begin(), owner.remap.end(), payload.get(),
-        [](const RemapEntry& e, const MessageBatch<M>* key) {
-          return e.from < key;
-        });
-    if (it != owner.remap.end() && it->from == payload.get())
-      payload = it->to;
-  }
-
-  // Canonicalization, first discovery wins: the first shard (in shard
-  // order) to intern a given content provides the network-wide object;
-  // later shards record a remap from their local object, applied to their
-  // pregroups and outbox entries.  Purely an identity decision: every
-  // observable (metrics, inbox views, traces) is content-based, which is
-  // also why links a shard scheduled straight into its own calendar may
-  // keep the shard-local object.  Sorting flat (digest, discovery-seq)
-  // entries gives the same winner as per-digest hash buckets, with no node
-  // allocations.  Scratch lives in the round arena.
-  void canonicalize_fresh_payloads() {
-    struct BarrierCanon {
-      std::uint64_t digest;
-      std::uint32_t seq;    // discovery order: shard order, in-shard order
-      std::uint32_t shard;  // owner of `batch` (its remap gets the entry)
-      SharedBatch<M> batch;
-    };
-    ArenaVector<BarrierCanon> canon{ArenaAlloc<BarrierCanon>(&arena_)};
-    std::uint32_t seq = 0;
-    for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-      shards_[s].remap.clear();
-      for (const SharedBatch<M>& b : shards_[s].interner.fresh())
-        canon.push_back({b->digest, seq++, s, b});
-    }
-    if (canon.size() > 1) {
-      std::sort(canon.begin(), canon.end(),
-                [](const BarrierCanon& a, const BarrierCanon& b) {
-                  if (a.digest != b.digest) return a.digest < b.digest;
-                  return a.seq < b.seq;
-                });
-      for (std::size_t i = 0; i < canon.size();) {
-        std::size_t j = i + 1;
-        while (j < canon.size() && canon[j].digest == canon[i].digest) ++j;
-        for (std::size_t a = i; j - i >= 2 && a < j; ++a) {
-          if (canon[a].batch == nullptr) continue;  // remapped already
-          for (std::size_t b = a + 1; b < j; ++b) {
-            if (canon[b].batch == nullptr) continue;
-            if (canon[a].batch->msgs == canon[b].batch->msgs) {
-              shards_[canon[b].shard].remap.push_back(
-                  {canon[b].batch.get(), canon[a].batch});
-              canon[b].batch = nullptr;
-            }
-          }
-        }
-        i = j;
-      }
-      for (Shard& sh : shards_)
-        std::sort(sh.remap.begin(), sh.remap.end(),
-                  [](const RemapEntry& a, const RemapEntry& b) {
-                    return a.from < b.from;
-                  });
-    }
-  }
-
   // The serial slice between the waves: splice trace buffers and counters
   // (shard order = process order), canonicalize freshly interned payloads
   // across shards, and merge the shards' pregroups into per-payload
@@ -582,15 +462,18 @@ class LockstepNet {
       for (const EndOfRoundEvent& e : sh.eor_buf)
         trace_.record_end_of_round(e.process, e.round, e.time);
       sh.eor_buf.clear();
-      sends_ += sh.sends;
-      bytes_sent_ += sh.bytes;
-      fault_drops_ += sh.fdrops;
-      fault_dups_ += sh.fdups;
-      sh.sends = sh.bytes = sh.fdrops = sh.fdups = 0;
+      ctr_.fold(sh.ctr);
     }
     arena_.reset();
-    // One shard's interner is already unique by content: nothing to remap.
-    if (shards_.size() > 1) canonicalize_fresh_payloads();
+    // Cross-shard canonicalization (net/link.hpp), applied to pregroups
+    // below and to outbox entries in the delivery wave.  Links a shard
+    // scheduled straight into its own calendar may keep the shard-local
+    // object: every observable is content-based.  One shard's interner is
+    // already unique by content: nothing to remap.
+    if (shards_.size() > 1)
+      canon_.rebuild(shards_.size(), [this](std::size_t s) -> const auto& {
+        return shards_[s].interner.fresh();
+      });
 
     // Merge the shards' pregroups by canonical payload.  Shard order then
     // in-shard order keeps every group's `members` globally ascending; the
@@ -608,7 +491,7 @@ class LockstepNet {
       Shard& sh = shards_[s];
       for (std::uint32_t i = 0; i < sh.pregroup_count; ++i) {
         SharedBatch<M> canonical = sh.pregroups[i].payload;
-        remap_payload(sh, canonical);
+        canon_.apply(canonical);
         const std::size_t g = find_or_add_group(std::move(canonical), next);
         refs.push_back({s, i, static_cast<std::uint32_t>(g),
                         group_totals_[g]});
@@ -650,10 +533,7 @@ class LockstepNet {
         shards_.size(),
         [this](std::size_t t) { shard_deliver(t, wave_round_, wave_plt_); },
         participants_);
-    for (Shard& sh : shards_) {
-      deliveries_ += sh.deliveries;
-      sh.deliveries = 0;
-    }
+    for (Shard& sh : shards_) ctr_.fold(sh.ctr);
     if (wave_plt_) splice_delivery_events();
     // Retire this round's groups into the pool (sole-owner refs only):
     // steady-state rounds rebuild the same few groups, so group
@@ -680,7 +560,7 @@ class LockstepNet {
     for (Shard& from : shards_) {
       std::vector<OutEntry>& box = from.outbox[t];
       for (OutEntry& oe : box) {
-        remap_payload(from, oe.e.payload);
+        canon_.apply(oe.e.payload);
         sh.calendar.schedule(oe.due, std::move(oe.e));
       }
       box.clear();
@@ -691,7 +571,7 @@ class LockstepNet {
     for (Exact& e : sh.due_scratch) {
       if (!receives_at(e.receiver, r)) continue;
       procs_[e.receiver]->receive(e.payload, e.msg_round);
-      sh.deliveries += e.payload->size();
+      sh.ctr.deliveries += e.payload->size();
       if (per_link_trace)
         sh.delivery_buf.push_back({e.sender, e.msg_round, e.receiver,
                                    procs_[e.receiver]->round(), r});
@@ -712,20 +592,20 @@ class LockstepNet {
         for (ProcId q = sh.begin; q < sh.end; ++q) {
           if (q == lone || !receives_at(q, r)) continue;
           procs_[q]->receive(g->payload, g->msg_round);
-          sh.deliveries += sz;
+          sh.ctr.deliveries += sz;
         }
         continue;
       }
       for (ProcId q = sh.begin; q < sh.end; ++q) {
         if (!receives_at(q, r)) continue;
         procs_[q]->receive(g->payload, g->msg_round);
-        sh.deliveries += sz * gsize;
+        sh.ctr.deliveries += sz * gsize;
       }
       // Members received from the other g-1 senders, not all g.
       auto it = std::lower_bound(g->members.begin(), g->members.end(),
                                  sh.begin);
       for (; it != g->members.end() && *it < sh.end; ++it)
-        if (receives_at(*it, r)) sh.deliveries -= sz;
+        if (receives_at(*it, r)) sh.ctr.deliveries -= sz;
     }
   }
 
@@ -757,10 +637,9 @@ class LockstepNet {
   }
 
   std::size_t n_ = 0;
-  std::vector<std::unique_ptr<GirafProcess<M>>> procs_;
-  const DelayModel& delays_;
-  CrashPlan crashes_;
+  LinkRules link_;
   LockstepOptions opt_;
+  std::vector<std::unique_ptr<GirafProcess<M>>> procs_;
   Trace trace_;
   Round round_ = 0;
 
@@ -788,13 +667,9 @@ class LockstepNet {
   std::vector<std::size_t> group_totals_;
   std::vector<std::shared_ptr<Group>> group_pool_;
   std::unordered_map<const MessageBatch<M>*, std::size_t> group_index_;
+  PayloadCanon<M> canon_;  // rebuilt at each merge barrier (S > 1)
   RoundArena arena_;
-
-  std::uint64_t deliveries_ = 0;
-  std::uint64_t sends_ = 0;
-  std::uint64_t bytes_sent_ = 0;
-  std::uint64_t fault_drops_ = 0;
-  std::uint64_t fault_dups_ = 0;
+  LinkCounters ctr_;
 };
 
 }  // namespace anon

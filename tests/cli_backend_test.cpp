@@ -1,14 +1,19 @@
 // The anonsim CLI's backend surface: `describe` states each preset's
 // backend support, and `run --backend cohort` flips the trace switches and
-// produces byte-identical reports for the weakset and emulation families.
-// These tests spawn the real binary (built next to the test in the build
-// tree) and skip when it has not been built yet.
+// produces the expanded backend's reports for the consensus, weakset and
+// emulation families.  These tests spawn the real binary (built next to
+// the test in the build tree, so every size trait and template copy is
+// linked exactly as in production) and skip when it has not been built
+// yet.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <string>
+
+#include "scenario/json.hpp"
 
 namespace {
 
@@ -32,6 +37,22 @@ CmdResult run_cmd(const std::string& cmd) {
 }
 
 bool have_anonsim() { return std::ifstream("./anonsim").good(); }
+
+// `v` with every object member named in `drop` removed, at any depth.
+anon::JsonValue without_keys(const anon::JsonValue& v,
+                             const std::set<std::string>& drop) {
+  if (v.is_array()) {
+    anon::JsonValue out = anon::JsonValue::array();
+    for (const anon::JsonValue& item : v.items())
+      out.push(without_keys(item, drop));
+    return out;
+  }
+  if (!v.is_object()) return v;
+  anon::JsonValue out = anon::JsonValue::object();
+  for (const auto& [key, member] : v.entries())
+    if (drop.count(key) == 0) out.set(key, without_keys(member, drop));
+  return out;
+}
 
 #define REQUIRE_ANONSIM() \
   if (!have_anonsim()) GTEST_SKIP() << "anonsim not built in this tree"
@@ -92,6 +113,32 @@ TEST(CliBackend, EmulationCohortRunMatchesModuloCertification) {
        (pos = normalized.find("\"ms_certified\": true")) != std::string::npos;)
     normalized.replace(pos, 20, "\"ms_certified\": false");
   EXPECT_EQ(normalized, cohort.output);
+}
+
+TEST(CliBackend, ConsensusCohortRunMatchesExpandedRun) {
+  REQUIRE_ANONSIM();
+  // The cohort backend reports its class counts and records no trace, so
+  // it has no `env` certificate; every other field — `bytes` included —
+  // must equal the expanded run's.
+  const std::set<std::string> cohort_only = {"cohorts_max", "cohorts_final",
+                                             "env"};
+  for (const char* preset : {"e1-fast", "e14-fast", "quickstart"}) {
+    const std::string run = std::string("./anonsim run --preset ") + preset +
+                            " --quiet --no-timing";
+    const auto expanded = run_cmd(run + " --backend expanded");
+    const auto cohort = run_cmd(run + " --backend cohort");
+    ASSERT_EQ(expanded.rc, 0) << preset;
+    ASSERT_EQ(cohort.rc, 0) << preset;
+    const auto e = anon::JsonValue::parse(expanded.output);
+    const auto c = anon::JsonValue::parse(cohort.output);
+    ASSERT_TRUE(e.value.has_value()) << preset << ": " << e.error;
+    ASSERT_TRUE(c.value.has_value()) << preset << ": " << c.error;
+    const anon::JsonValue want = without_keys(*e.value, cohort_only);
+    const anon::JsonValue got = without_keys(*c.value, cohort_only);
+    EXPECT_EQ(want, got) << preset << "\nexpanded:\n"
+                         << want.dump() << "\ncohort:\n"
+                         << got.dump();
+  }
 }
 
 TEST(CliBackend, EngineThreadsComposeWithTheCohortBackend) {

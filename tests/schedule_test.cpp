@@ -208,13 +208,18 @@ TEST(Lockstep, MetricsCountPerMessageOnEveryLink) {
   // sends and bytes_sent are both per message per link, so their ratio is
   // the true mean wire size even for multi-message batches (E10).  Here
   // every batch is a single ValueSet, all delivered before the run stops:
-  // 2 waves × 3 processes × 2 links.
+  // 2 waves × 3 processes × 2 links.  Wave 1 sends each process's own
+  // seed, wave 2 the union of all three, each at its MessageSizeOf size.
   SynchronousDelays delays;
   LockstepNet<ValueSet> net(collectors(3), delays, CrashPlan{});
   net.run_rounds(2);
   EXPECT_EQ(net.sends(), 12u);
   EXPECT_EQ(net.deliveries(), net.sends());
-  EXPECT_EQ(net.bytes_sent(), net.sends() * sizeof(ValueSet));
+  const std::size_t seed_bytes =
+      MessageSizeOf<ValueSet>::size(ValueSet{Value(0)});
+  const std::size_t union_bytes =
+      MessageSizeOf<ValueSet>::size(ValueSet{Value(0), Value(1), Value(2)});
+  EXPECT_EQ(net.bytes_sent(), 6 * seed_bytes + 6 * union_bytes);
 }
 
 TEST(Lockstep, MaxRoundsStopsRun) {
